@@ -1,6 +1,7 @@
 #include "sys/cmp_system.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -12,8 +13,27 @@ CmpSystem::CmpSystem(const NetworkConfig &net_config,
                      const CmpConfig &config)
     : config_(config), net_(std::make_unique<Network>(net_config))
 {
+    if (config_.blockBytes < 4 ||
+        !std::has_single_bit(static_cast<unsigned>(config_.blockBytes)))
+        fatal("CmpConfig: blockBytes %d must be a power of two of at "
+              "least 4",
+              config_.blockBytes);
+    if (config_.maxOutstanding < 1 ||
+        (config_.asymmetric && config_.smallMaxOutstanding < 1))
+        fatal("CmpConfig: maxOutstanding (%d) and, on asymmetric CMPs, "
+              "smallMaxOutstanding (%d) must be at least 1",
+              config_.maxOutstanding, config_.smallMaxOutstanding);
+
     net_->setClient(this);
     clkRatio_ = config_.coreClockGHz / net_->clockGHz();
+
+    // One bucket per cycle of the longest controller latency (capped),
+    // so every scheduled event lands in its own cycle's bucket.
+    Cycle span = std::max({coreToNet(config_.dramLatencyCoreCycles),
+                           coreToNet(config_.l2LatencyCoreCycles),
+                           coreToNet(config_.l1LatencyCoreCycles),
+                           Cycle{1}});
+    ring_.resize(std::bit_ceil(std::min<Cycle>(span + 1, 4096)));
 
     int nodes = net_->topology().numNodes();
     cores_.resize(static_cast<std::size_t>(nodes));
@@ -40,6 +60,10 @@ CmpSystem::CmpSystem(const NetworkConfig &net_config,
             core.window = config_.smallWindowInstrs;
             core.maxOutstanding = config_.smallMaxOutstanding;
         }
+        auto max_out = static_cast<std::size_t>(core.maxOutstanding);
+        core.loads.reserve(max_out);
+        core.mshrs.blocks.reserve(max_out);
+        core.mshrs.entries.reserve(max_out);
 
         banks_[static_cast<std::size_t>(n)].l2 =
             std::make_unique<CacheArray>(config_.l2BankBytes,
@@ -81,6 +105,21 @@ CmpSystem::idleCore(NodeId core)
 void
 CmpSystem::warmCaches(int memops_per_core)
 {
+    // The walk is memory-latency bound: each operation lands on a
+    // random L2 set and directory slot among megabytes of them. The
+    // trace does not depend on cache state, so it is generated
+    // kLookahead operations ahead and each one's home-bank lines are
+    // prefetched; operations still apply strictly in trace order.
+    constexpr int kLookahead = 8;
+    struct Op
+    {
+        TraceRecord rec;
+        Addr block;
+        Bank *bank;
+        CacheArray::Loc l2;
+    };
+    std::array<Op, kLookahead> ahead;
+
     Addr victim = 0;
     CacheState vstate = CacheState::Invalid;
     for (std::size_t n = 0; n < cores_.size(); ++n) {
@@ -91,47 +130,64 @@ CmpSystem::warmCaches(int memops_per_core)
         // consuming the timed trace stream.
         TraceGenerator twin(core.gen->profile(), static_cast<int>(n),
                             config_.seed ^ 0x5eedULL, config_.blockBytes);
+        // Home tile and L2 set are computed once per operation.
+        auto fetch = [&](Op &op) {
+            op.rec = twin.next();
+            op.block = core.l1->blockAddr(op.rec.addr);
+            op.bank = &banks_[static_cast<std::size_t>(homeTile(op.block))];
+            op.l2 = op.bank->l2->locate(op.block);
+            op.bank->l2->prefetch(op.l2);
+            op.bank->dir.prefetch(op.block);
+        };
+        for (int i = 0; i < std::min(kLookahead, memops_per_core); ++i)
+            fetch(ahead[static_cast<std::size_t>(i)]);
+
         for (int i = 0; i < memops_per_core; ++i) {
-            TraceRecord rec = twin.next();
-            Addr block = core.l1->blockAddr(rec.addr);
-            Bank &bank = banks_[static_cast<std::size_t>(
-                homeTile(block))];
-            bank.l2->insert(block, CacheState::Shared, victim, vstate);
+            Op &next = ahead[static_cast<std::size_t>(i % kLookahead)];
+            const TraceRecord rec = next.rec;
+            const Addr block = next.block;
+            Bank &bank = *next.bank;
+            const CacheArray::Loc l2 = next.l2;
+            if (i + kLookahead < memops_per_core)
+                fetch(next);
+
+            // Every L1 has the same geometry: one Loc serves the
+            // requester and any peer it invalidates or demotes.
+            CacheArray::Loc l1 = core.l1->locate(block);
+            bank.l2->insert(l2, CacheState::Shared, victim, vstate);
             DirEntry &entry = bank.dir[block];
             if (rec.isWrite) {
                 for (NodeId s : entry.sharers)
-                    cores_[static_cast<std::size_t>(s)].l1->invalidate(
-                        block);
+                    cores_[static_cast<std::size_t>(s)].l1->invalidate(l1);
                 if (entry.exclusive && entry.owner != INVALID_NODE &&
                     entry.owner != static_cast<NodeId>(n))
                     cores_[static_cast<std::size_t>(entry.owner)]
-                        .l1->invalidate(block);
+                        .l1->invalidate(l1);
                 entry.sharers.clear();
                 entry.exclusive = true;
                 entry.owner = static_cast<NodeId>(n);
-                core.l1->insert(block, CacheState::Modified, victim,
-                                vstate);
+                core.l1->insert(l1, CacheState::Modified, victim, vstate);
             } else {
                 if (entry.exclusive &&
                     entry.owner != static_cast<NodeId>(n)) {
                     if (entry.owner != INVALID_NODE) {
                         Core &oc = cores_[static_cast<std::size_t>(
                             entry.owner)];
-                        if (oc.l1->lookup(block) != CacheState::Invalid)
-                            oc.l1->setState(block, CacheState::Shared);
+                        if (oc.l1->lookup(l1) != CacheState::Invalid)
+                            oc.l1->setState(l1, CacheState::Shared);
                         entry.sharers.push_back(entry.owner);
                     }
                     entry.exclusive = false;
                     entry.owner = INVALID_NODE;
                 }
-                if (core.l1->lookup(block) == CacheState::Invalid) {
+                if (core.l1->lookup(l1) == CacheState::Invalid) {
                     bool first = entry.sharers.empty() &&
                                  !entry.exclusive;
                     if (first) {
                         entry.exclusive = true;
                         entry.owner = static_cast<NodeId>(n);
-                        core.l1->insert(block, CacheState::Exclusive,
-                                        victim, vstate);
+                        core.l1->insert(l1, CacheState::Exclusive, victim,
+                                        vstate);
                     } else {
                         if (std::find(entry.sharers.begin(),
                                       entry.sharers.end(),
@@ -139,11 +195,11 @@ CmpSystem::warmCaches(int memops_per_core)
                             entry.sharers.end())
                             entry.sharers.push_back(
                                 static_cast<NodeId>(n));
-                        core.l1->insert(block, CacheState::Shared,
-                                        victim, vstate);
+                        core.l1->insert(l1, CacheState::Shared, victim,
+                                        vstate);
                     }
                 } else {
-                    core.l1->touch(block);
+                    core.l1->touch(l1);
                 }
             }
         }
@@ -160,7 +216,8 @@ CmpSystem::coreToNet(int core_cycles) const
 NodeId
 CmpSystem::homeTile(Addr block) const
 {
-    Addr blk = block / static_cast<Addr>(config_.blockBytes);
+    Addr blk = block >> std::countr_zero(
+                   static_cast<unsigned>(config_.blockBytes));
     // Fold in high bits so private regions spread over all banks.
     Addr mixed = blk ^ (blk >> 12) ^ (blk >> 28);
     return static_cast<NodeId>(
@@ -246,14 +303,7 @@ void
 CmpSystem::preCycle(Network &, Cycle now)
 {
     // 1. Deliver due controller events.
-    while (!events_.empty() && events_.begin()->first <= now) {
-        Event ev = events_.begin()->second;
-        events_.erase(events_.begin());
-        if (ev.isSend)
-            sendMsg(ev.src, ev.tile, ev.msg, now);
-        else
-            handleMsg(ev.tile, ev.msg, now);
-    }
+    drainEvents(now);
 
     // 2. Memory-controller service: start DRAM accesses.
     for (NodeId t : mcTiles_) {
@@ -276,7 +326,7 @@ CmpSystem::preCycle(Network &, Cycle now)
             ev.msg = resp;
             ev.isSend = true;
             ev.src = t;
-            events_.emplace(ev.at, ev);
+            schedule(ev);
         }
     }
 
@@ -328,8 +378,7 @@ CmpSystem::issueMemOp(NodeId id, Core &core, const TraceRecord &rec,
 {
     Addr block = core.l1->blockAddr(rec.addr);
 
-    auto mshr_it = core.mshrs.find(block);
-    if (mshr_it != core.mshrs.end()) {
+    if (const Mshr *pending = core.mshrs.find(block)) {
         // Miss already outstanding for this block.
         if (!rec.isWrite) {
             if (static_cast<int>(core.loads.size()) >=
@@ -338,26 +387,27 @@ CmpSystem::issueMemOp(NodeId id, Core &core, const TraceRecord &rec,
             core.loads.push_back({core.nextReqId++, block, core.retired});
             return true; // coalesced load
         }
-        if (mshr_it->second.isWrite)
+        if (pending->isWrite)
             return true; // store coalesces into pending GetX
         return false;    // write after pending read: stall
     }
 
-    CacheState state = core.l1->lookup(block);
+    CacheArray::Loc loc = core.l1->locate(block);
+    CacheState state = core.l1->lookup(loc);
     if (!rec.isWrite) {
         if (state != CacheState::Invalid) {
-            core.l1->touch(block);
+            core.l1->touch(loc);
             ++core.l1Hits;
             return true;
         }
     } else {
         if (state == CacheState::Modified) {
-            core.l1->touch(block);
+            core.l1->touch(loc);
             ++core.l1Hits;
             return true;
         }
         if (state == CacheState::Exclusive) {
-            core.l1->setState(block, CacheState::Modified);
+            core.l1->setState(loc, CacheState::Modified);
             ++core.l1Hits;
             return true;
         }
@@ -365,7 +415,7 @@ CmpSystem::issueMemOp(NodeId id, Core &core, const TraceRecord &rec,
     }
 
     // L1 miss: allocate an MSHR and send the request to the home bank.
-    if (static_cast<int>(core.mshrs.size()) >= core.maxOutstanding)
+    if (core.mshrs.size() >= core.maxOutstanding)
         return false;
     if (!rec.isWrite &&
         static_cast<int>(core.loads.size()) >= core.maxOutstanding)
@@ -374,7 +424,7 @@ CmpSystem::issueMemOp(NodeId id, Core &core, const TraceRecord &rec,
     Mshr mshr;
     mshr.isWrite = rec.isWrite;
     mshr.issuedAt = now;
-    core.mshrs.emplace(block, mshr);
+    core.mshrs.add(block, mshr);
     ++core.l1Misses;
 
     if (!rec.isWrite)
@@ -397,7 +447,6 @@ CmpSystem::installLine(NodeId id, Core &core, Addr block, CacheState state,
     CacheState victim_state = CacheState::Invalid;
     if (core.l1->insert(block, state, victim, victim_state)) {
         if (victim_state == CacheState::Modified) {
-            core.wbBuffer.insert(victim);
             Msg wb;
             wb.type = MsgType::PutM;
             wb.block = victim;
@@ -414,17 +463,59 @@ void
 CmpSystem::completeLoads(NodeId id, Core &core, Addr block, Cycle now)
 {
     (void)id;
-    for (auto it = core.loads.begin(); it != core.loads.end();) {
-        if (it->block == block)
-            it = core.loads.erase(it);
-        else
-            ++it;
-    }
-    auto mshr_it = core.mshrs.find(block);
-    if (mshr_it != core.mshrs.end()) {
-        roundTrip_.add(static_cast<double>(now - mshr_it->second.issuedAt) *
+    std::erase_if(core.loads, [block](const OutstandingLoad &l) {
+        return l.block == block;
+    });
+    if (const Mshr *mshr = core.mshrs.find(block))
+        roundTrip_.add(static_cast<double>(now - mshr->issuedAt) *
                        clkRatio_);
+}
+
+// -------------------------------------------------------------- events --
+
+void
+CmpSystem::schedule(const Event &ev)
+{
+    if (ev.at < nextCycle_)
+        late_.push_back(ev);
+    else
+        ring_[ev.at & (ring_.size() - 1)].push_back(ev);
+}
+
+void
+CmpSystem::drainEvents(Cycle now)
+{
+    // Same order as one time-ordered FIFO queue: late events first
+    // (their cycle precedes every ring cycle), then each cycle's bucket
+    // in scheduling order. A handler may append a delay-0 event to the
+    // bucket being drained; the index loop picks it up in turn.
+    for (std::size_t i = 0; i < late_.size(); ++i) {
+        Event ev = late_[i];
+        dispatch(ev, now);
     }
+    late_.clear();
+    for (; nextCycle_ <= now; ++nextCycle_) {
+        std::vector<Event> &bucket = ring_[nextCycle_ & (ring_.size() - 1)];
+        std::size_t keep = 0;
+        for (std::size_t i = 0; i < bucket.size(); ++i) {
+            if (bucket[i].at != nextCycle_) {
+                bucket[keep++] = bucket[i];
+                continue;
+            }
+            Event ev = bucket[i];
+            dispatch(ev, now);
+        }
+        bucket.resize(keep);
+    }
+}
+
+void
+CmpSystem::dispatch(const Event &ev, Cycle now)
+{
+    if (ev.isSend)
+        sendMsg(ev.src, ev.tile, ev.msg, now);
+    else
+        handleMsg(ev.tile, ev.msg, now);
 }
 
 // ----------------------------------------------------------- messaging --
@@ -440,7 +531,7 @@ CmpSystem::sendMsg(NodeId src, NodeId dst, const Msg &msg, Cycle now)
         ev.at = now + coreToNet(config_.l2LatencyCoreCycles);
         ev.tile = dst;
         ev.msg = msg;
-        events_.emplace(ev.at, ev);
+        schedule(ev);
         return;
     }
     int flits = carriesData(msg.type) ? net_->dataPacketFlits() : 1;
@@ -491,7 +582,7 @@ CmpSystem::onPacketDelivered(Network &net, Packet &pkt, Cycle now)
     ev.at = now + delay;
     ev.tile = pkt.dst;
     ev.msg = *m;
-    events_.emplace(ev.at, ev);
+    schedule(ev);
     freeMsg(m);
 }
 
@@ -544,22 +635,20 @@ CmpSystem::coreHandle(NodeId tile, const Msg &msg, Cycle now)
                                       : CacheState::Modified);
         installLine(tile, core, block, state, now);
         completeLoads(tile, core, block, now);
-        auto it = core.mshrs.find(block);
-        if (it != core.mshrs.end()) {
-            if (it->second.invalidatedWhilePending) {
+        if (Mshr *mshr = core.mshrs.find(block)) {
+            if (mshr->invalidatedWhilePending) {
                 // The data is used once (the miss that requested it)
                 // and the line is dropped to respect the later
                 // invalidation that overtook it in the network.
                 core.l1->invalidate(block);
             }
-            core.mshrs.erase(it);
+            core.mshrs.erase(mshr);
         }
         break;
       }
       case MsgType::Inv: {
-        auto it = core.mshrs.find(block);
-        if (it != core.mshrs.end())
-            it->second.invalidatedWhilePending = true;
+        if (Mshr *mshr = core.mshrs.find(block))
+            mshr->invalidatedWhilePending = true;
         else
             core.l1->invalidate(block);
         Msg ack;
@@ -594,7 +683,8 @@ CmpSystem::coreHandle(NodeId tile, const Msg &msg, Cycle now)
         break;
       }
       case MsgType::WbAck:
-        core.wbBuffer.erase(block);
+        // Writebacks hold no core state: the line left the L1 when
+        // the PutM was sent.
         break;
       default:
         panic("coreHandle: unexpected message type %d",
@@ -617,15 +707,14 @@ CmpSystem::dirHandle(NodeId tile, const Msg &msg, Cycle now)
         dirStartTxn(tile, msg, now);
         break;
       case MsgType::InvAck: {
-        auto it = bank.busy.find(block);
-        if (it == bank.busy.end())
+        Txn *txn = bank.busy.find(block);
+        if (!txn)
             break; // ack for an already-satisfied (stale-sharer) inv
-        if (--it->second.pendingInvAcks <= 0)
-            dirRespond(tile, block, it->second, now);
+        if (--txn->pendingInvAcks <= 0)
+            dirRespond(tile, block, *txn, now);
         break;
       }
       case MsgType::OwnerWb: {
-        auto it = bank.busy.find(block);
         // Fill the L2 with the owner's (possibly dirty) line.
         Addr victim = 0;
         CacheState vstate = CacheState::Invalid;
@@ -639,9 +728,9 @@ CmpSystem::dirHandle(NodeId tile, const Msg &msg, Cycle now)
             sendMsg(tile, mcForBlock(victim, config_.blockBytes, mcTiles_),
                     mw, now);
         }
-        if (it != bank.busy.end()) {
-            it->second.waitingOwner = false;
-            dirRespond(tile, block, it->second, now);
+        if (Txn *txn = bank.busy.find(block)) {
+            txn->waitingOwner = false;
+            dirRespond(tile, block, *txn, now);
         }
         break;
       }
@@ -658,10 +747,9 @@ CmpSystem::dirHandle(NodeId tile, const Msg &msg, Cycle now)
             sendMsg(tile, mcForBlock(victim, config_.blockBytes, mcTiles_),
                     mw, now);
         }
-        auto it = bank.busy.find(block);
-        if (it != bank.busy.end()) {
-            it->second.waitingMem = false;
-            dirRespond(tile, block, it->second, now);
+        if (Txn *txn = bank.busy.find(block)) {
+            txn->waitingMem = false;
+            dirRespond(tile, block, *txn, now);
         }
         break;
       }
@@ -677,17 +765,15 @@ CmpSystem::dirStartTxn(NodeId tile, const Msg &msg, Cycle now)
     Bank &bank = banks_[static_cast<std::size_t>(tile)];
     Addr block = msg.block;
 
-    auto busy_it = bank.busy.find(block);
-    if (busy_it != bank.busy.end()) {
-        busy_it->second.deferred.push_back(msg);
+    if (Txn *busy = bank.busy.find(block)) {
+        busy->deferred.push_back(msg);
         return;
     }
 
     if (msg.type == MsgType::PutM) {
         // Writebacks complete immediately (no transaction).
-        auto dir_it = bank.dir.find(block);
-        if (dir_it != bank.dir.end() && dir_it->second.exclusive &&
-            dir_it->second.owner == msg.sender) {
+        const DirEntry *dir = bank.dir.find(block);
+        if (dir && dir->exclusive && dir->owner == msg.sender) {
             Addr victim = 0;
             CacheState vstate = CacheState::Invalid;
             if (bank.l2->insert(block, CacheState::Modified, victim,
@@ -702,7 +788,7 @@ CmpSystem::dirStartTxn(NodeId tile, const Msg &msg, Cycle now)
                         mcForBlock(victim, config_.blockBytes, mcTiles_),
                         mw, now);
             }
-            bank.dir.erase(dir_it);
+            bank.dir.erase(block);
         }
         // Stale PutM (owner changed since): data is already current.
         Msg ack;
@@ -719,7 +805,9 @@ CmpSystem::dirStartTxn(NodeId tile, const Msg &msg, Cycle now)
     txn.requester = msg.sender;
     txn.reqId = msg.reqId;
 
-    DirEntry &entry = bank.dir[block]; // creates Uncached entry if new
+    // Creates an Uncached entry if new. Nothing before dirRespond
+    // inserts into or erases from bank.dir, so the reference holds.
+    DirEntry &entry = bank.dir[block];
 
     // A silently-dropped Exclusive line can leave the requester itself
     // registered as owner: treat as unowned.
@@ -788,9 +876,9 @@ CmpSystem::dirStartTxn(NodeId tile, const Msg &msg, Cycle now)
         }
     }
 
-    auto [it, inserted] = bank.busy.emplace(block, std::move(txn));
-    (void)inserted;
-    dirRespond(tile, block, it->second, now);
+    Txn &open = bank.busy[block];
+    open = std::move(txn);
+    dirRespond(tile, block, open, now);
 }
 
 void
@@ -800,6 +888,8 @@ CmpSystem::dirRespond(NodeId tile, Addr block, Txn &txn, Cycle now)
         return;
 
     Bank &bank = banks_[static_cast<std::size_t>(tile)];
+    // dirFinishTxn (last) may insert into bank.dir and erases @p txn;
+    // neither reference is used after it.
     DirEntry &entry = bank.dir[block];
 
     Msg resp;
@@ -841,11 +931,11 @@ void
 CmpSystem::dirFinishTxn(NodeId tile, Addr block, Cycle now)
 {
     Bank &bank = banks_[static_cast<std::size_t>(tile)];
-    auto it = bank.busy.find(block);
-    if (it == bank.busy.end())
+    Txn *txn = bank.busy.find(block);
+    if (!txn)
         return;
-    std::deque<Msg> deferred = std::move(it->second.deferred);
-    bank.busy.erase(it);
+    std::vector<Msg> deferred = std::move(txn->deferred);
+    bank.busy.erase(block);
     // Replay deferred requests in arrival order; each may re-block.
     for (const Msg &m : deferred)
         dirStartTxn(tile, m, now);
@@ -890,33 +980,31 @@ CmpSystem::memoryAudit() const
     }
     a.add("l2_banks", b, n);
 
-    // Full-map MESI directory: per tracked line one hash node (key +
-    // DirEntry + bucket links) plus the sharers vector, whose
-    // capacity grows toward O(tiles) per widely shared line — the
-    // scaling blocker this audit exists to measure. Hash-node
-    // overhead is estimated at two pointers per node (libstdc++
-    // layout); bucket arrays are counted exactly.
+    // Full-map MESI directory, exact: every slot of each bank's flat
+    // table (block key + inline DirEntry, empty slots included) plus
+    // each spilled sharer list's heap capacity, which grows toward
+    // O(tiles) per widely shared line — the scaling blocker this audit
+    // measures.
     std::uint64_t entries = 0;
     b = 0;
     for (const Bank &bank : banks_) {
-        b += bank.dir.bucket_count() * sizeof(void *);
-        for (const auto &kv : bank.dir) {
-            b += sizeof(kv) + 2 * sizeof(void *);
-            b += kv.second.sharers.capacity() * sizeof(NodeId);
-            ++entries;
-        }
+        b += bank.dir.capacity() * bank.dir.slotBytes();
+        bank.dir.forEach([&b](Addr, const DirEntry &e) {
+            b += e.sharers.capacity() * sizeof(NodeId);
+        });
+        entries += bank.dir.size();
     }
     a.add("mesi_directory", b, entries);
 
+    // Open transactions: every slot plus each deferred-request queue.
     b = 0;
     std::uint64_t txns = 0;
     for (const Bank &bank : banks_) {
-        b += bank.busy.bucket_count() * sizeof(void *);
-        for (const auto &kv : bank.busy) {
-            b += sizeof(kv) + 2 * sizeof(void *);
-            b += kv.second.deferred.size() * sizeof(Msg);
-            ++txns;
-        }
+        b += bank.busy.capacity() * bank.busy.slotBytes();
+        bank.busy.forEach([&b](Addr, const Txn &t) {
+            b += t.deferred.capacity() * sizeof(Msg);
+        });
+        txns += bank.busy.size();
     }
     a.add("directory_txns", b, txns);
 

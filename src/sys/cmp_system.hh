@@ -17,17 +17,16 @@
 
 #include <array>
 #include <deque>
-#include <map>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/stats.hh"
 #include "noc/network.hh"
 #include "sys/cache.hh"
+#include "sys/flat_table.hh"
 #include "sys/mc_placement.hh"
 #include "sys/protocol.hh"
+#include "sys/sharer_list.hh"
 #include "sys/workloads.hh"
 
 namespace hnoc
@@ -61,6 +60,7 @@ struct CmpConfig
     int l2Ways = 16;
     int l2LatencyCoreCycles = 6;
 
+    /** Line size; a power of two of at least 4 B. */
     int blockBytes = 128;
 
     int dramLatencyCoreCycles = 400;
@@ -174,9 +174,50 @@ class CmpSystem : public NetworkClient
 
     struct Mshr
     {
-        bool isWrite = false;
         Cycle issuedAt = 0;
+        bool isWrite = false;
         bool invalidatedWhilePending = false;
+    };
+
+    /**
+     * A core's outstanding misses: at most maxOutstanding entries in
+     * fixed arrays, unordered, searched linearly. Blocks are kept apart
+     * from their state so a 16-entry search reads 128 bytes.
+     */
+    struct MshrFile
+    {
+        std::vector<Addr> blocks;
+        std::vector<Mshr> entries;
+
+        Mshr *
+        find(Addr block)
+        {
+            for (std::size_t i = 0; i < blocks.size(); ++i) {
+                if (blocks[i] == block)
+                    return &entries[i];
+            }
+            return nullptr;
+        }
+
+        int size() const { return static_cast<int>(blocks.size()); }
+
+        void
+        add(Addr block, const Mshr &mshr)
+        {
+            blocks.push_back(block);
+            entries.push_back(mshr);
+        }
+
+        /** Remove @p mshr (from find()) by moving the last entry in. */
+        void
+        erase(Mshr *mshr)
+        {
+            auto i = static_cast<std::size_t>(mshr - entries.data());
+            blocks[i] = blocks.back();
+            entries[i] = entries.back();
+            blocks.pop_back();
+            entries.pop_back();
+        }
     };
 
     struct Core
@@ -195,9 +236,9 @@ class CmpSystem : public NetworkClient
         bool hasPending = false;
         int nonMemLeft = 0;
 
-        std::deque<OutstandingLoad> loads;
-        std::unordered_map<Addr, Mshr> mshrs;
-        std::unordered_set<Addr> wbBuffer; ///< PutM awaiting WbAck
+        /** Loads in issue order; at most maxOutstanding. */
+        std::vector<OutstandingLoad> loads;
+        MshrFile mshrs;
         std::uint64_t nextReqId = 1;
 
         std::uint64_t l1Hits = 0;
@@ -215,21 +256,31 @@ class CmpSystem : public NetworkClient
         bool waitingMem = false;
         bool waitingOwner = false;
         bool upgrade = false; ///< requester already held the line shared
-        std::deque<Msg> deferred;
+        std::vector<Msg> deferred; ///< conflicting requests, in arrival order
     };
 
+    /** 24 bytes, so a directory slot (block key + entry) is 32. */
     struct DirEntry
     {
-        bool exclusive = false;
+        /** In registration order: Inv messages go out in this order. */
+        SharerList sharers;
         NodeId owner = INVALID_NODE;
-        std::vector<NodeId> sharers;
+        bool exclusive = false;
     };
 
+    /**
+     * Home bank: L2 data array, full-map directory and the blocking
+     * directory's open transactions, each table keyed by block with
+     * its entry inline (FlatTable). Per FlatTable's contract, a
+     * DirEntry& or Txn& is invalid after an insert into or erase from
+     * its table; handlers look entries up again after any call that
+     * can start or finish a transaction (dirStartTxn, dirFinishTxn).
+     */
     struct Bank
     {
         std::unique_ptr<CacheArray> l2;
-        std::unordered_map<Addr, DirEntry> dir;
-        std::unordered_map<Addr, Txn> busy;
+        FlatTable<DirEntry> dir;
+        FlatTable<Txn> busy{8};
     };
 
     struct MemController
@@ -259,6 +310,10 @@ class CmpSystem : public NetworkClient
                      Cycle now);
     void completeLoads(NodeId id, Core &core, Addr block, Cycle now);
 
+    void schedule(const Event &ev);
+    void drainEvents(Cycle now);
+    void dispatch(const Event &ev, Cycle now);
+
     void sendMsg(NodeId src, NodeId dst, const Msg &msg, Cycle now);
     void handleMsg(NodeId tile, const Msg &msg, Cycle now);
 
@@ -283,7 +338,19 @@ class CmpSystem : public NetworkClient
     std::vector<MemController> mcs_;
     std::vector<NodeId> mcTiles_;
 
-    std::multimap<Cycle, Event> events_;
+    /**
+     * Calendar queue of controller events: bucket `at & (size - 1)`
+     * holds the events due at cycle `at` in scheduling order (FIFO).
+     * The ring spans the longest controller latency (up to 4096
+     * cycles), so a bucket holds one cycle's events; an event of a
+     * later lap (a longer delay, or a gap in preCycle calls) stays in
+     * its bucket until its own cycle.
+     */
+    std::vector<std::vector<Event>> ring_;
+    /** Events scheduled for an already-drained cycle (zero-latency
+     *  controllers); they precede every ring event. */
+    std::vector<Event> late_;
+    Cycle nextCycle_ = 0; ///< first cycle whose bucket is not drained
 
     std::deque<std::unique_ptr<Msg>> msgArena_;
     std::vector<Msg *> msgFree_;

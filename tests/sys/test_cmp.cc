@@ -194,5 +194,54 @@ TEST_F(CmpEndToEnd, AsymmetricCoresDifferInIpc)
     EXPECT_GT(large_ipc, small_ipc * 1.5);
 }
 
+TEST(CmpConfigDeathTest, RejectsUnsupportedGeometry)
+{
+    NetworkConfig net = makeLayoutConfig(LayoutKind::Baseline);
+    CmpConfig odd;
+    odd.blockBytes = 96; // would alias blocks under the block mask
+    EXPECT_DEATH({ CmpSystem sys(net, odd); }, "blockBytes 96 .*power of two");
+    CmpConfig tiny;
+    tiny.blockBytes = 2; // no room for the packed state bits
+    EXPECT_DEATH({ CmpSystem sys(net, tiny); }, "at least 4");
+    CmpConfig no_mshr;
+    no_mshr.maxOutstanding = 0;
+    EXPECT_DEATH({ CmpSystem sys(net, no_mshr); }, "maxOutstanding");
+    CmpConfig small;
+    small.asymmetric = true;
+    small.smallMaxOutstanding = 0;
+    EXPECT_DEATH({ CmpSystem sys(net, small); }, "smallMaxOutstanding");
+}
+
+TEST(CmpMemoryAudit, IdenticalRunsReportIdenticalAudits)
+{
+    // The directory rows are computed from table capacities and
+    // sharer-list capacities, so they are a function of the run.
+    auto audit = [] {
+        CmpSystem sys(makeLayoutConfig(LayoutKind::Baseline), CmpConfig{});
+        sys.assignWorkloadAll(workloadByName("SAP"));
+        sys.warmCaches(4000);
+        sys.run(1000);
+        return sys.memoryAudit();
+    };
+    MemoryAudit a = audit();
+    MemoryAudit b = audit();
+    ASSERT_EQ(a.components.size(), b.components.size());
+    bool saw_dir = false;
+    for (std::size_t i = 0; i < a.components.size(); ++i) {
+        const auto &x = a.components[i];
+        const auto &y = b.components[i];
+        EXPECT_EQ(x.name, y.name);
+        EXPECT_EQ(x.bytes, y.bytes) << x.name;
+        EXPECT_EQ(x.count, y.count) << x.name;
+        if (x.name == "mesi_directory") {
+            saw_dir = true;
+            EXPECT_GT(x.count, 1000u);
+            EXPECT_GE(x.bytes, x.count * (sizeof(Addr) + sizeof(NodeId)));
+        }
+    }
+    EXPECT_TRUE(saw_dir);
+    EXPECT_EQ(a.totalBytes(), b.totalBytes());
+}
+
 } // namespace
 } // namespace hnoc
