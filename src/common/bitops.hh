@@ -33,18 +33,6 @@ namespace bitops
 
 constexpr int kWordBits = 64;
 
-/** Best-effort read prefetch into all cache levels (no-op where the
- *  builtin is unavailable; never has an architectural effect). */
-inline void
-prefetch(const void *p)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(p, 0, 3);
-#else
-    (void)p;
-#endif
-}
-
 /** Words needed for an @p nbits -wide mask. */
 constexpr int
 maskWords(int nbits)

@@ -2,8 +2,8 @@
  * @file
  * Fixed-capacity ring buffer for hot-path FIFOs.
  *
- * The NoC hot path (VC FIFOs, channel flit/credit pipes, NI source
- * queues) used std::deque, which allocates chunk-wise as it grows.
+ * The NoC hot path (channel flit/credit pipes, NI source queues) used
+ * std::deque, which allocates chunk-wise as it grows.
  * RingBuffer allocates its backing store once — sized from config
  * (VC depth, channel latency) — so the steady-state simulation loop
  * performs zero heap allocations. Capacity is rounded up to a power
@@ -11,8 +11,8 @@
  *
  * Two overflow policies, chosen at construction:
  *  - fixed (default): push_back on a full ring is a fatal error. Used
- *    where an exact occupancy bound exists (credit-clamped VC FIFOs,
- *    delay-bounded channel pipes) — overflow means a protocol bug.
+ *    where an exact occupancy bound exists (delay- and credit-bounded
+ *    channel pipes) — overflow means a protocol bug.
  *  - growable: capacity doubles, retaining the storage afterwards (a
  *    pooled backing store). Used by the NI source queue, which is
  *    unbounded by design (the client regulates admission).
@@ -25,7 +25,6 @@
 #include <memory>
 #include <utility>
 
-#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace hnoc
@@ -52,31 +51,6 @@ class RingBuffer
         head_ = 0;
         count_ = 0;
         growable_ = growable;
-    }
-
-    /** Round up to the capacity reset(@p capacity) would allocate. */
-    static std::size_t
-    boundCapacity(std::size_t capacity)
-    {
-        return roundUpPow2(capacity < 1 ? 1 : capacity);
-    }
-
-    /**
-     * Bind to caller-owned storage of exactly boundCapacity(@p
-     * capacity) slots (drops contents; the buffer becomes
-     * fixed-capacity). The storage must outlive this buffer and never
-     * move — used to pack many FIFOs into one contiguous hot
-     * allocation (§6g).
-     */
-    void
-    bindStorage(T *storage, std::size_t capacity)
-    {
-        buf_.reset();
-        ptr_ = storage;
-        cap_ = boundCapacity(capacity);
-        head_ = 0;
-        count_ = 0;
-        growable_ = false;
     }
 
     /**
@@ -124,14 +98,6 @@ class RingBuffer
     front() const
     {
         return ptr_[head_];
-    }
-
-    /** Prefetch the front slot (safe on an empty buffer — the slot
-     *  exists, it just holds no live element). */
-    void
-    prefetchFront() const
-    {
-        bitops::prefetch(ptr_ + head_);
     }
 
     void

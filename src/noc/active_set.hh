@@ -2,12 +2,12 @@
  * @file
  * Active-set scheduling hooks shared by routers, channels, and NIs.
  *
- * The Network maintains one dense busy bitmap per component kind
- * (indexed by component id) plus a population counter for the
- * all-idle fast path. Each component owns an ActivitySlot bound to
- * its bitmap cell and flips it on its own idle/busy transitions:
+ * Each component owns an ActivitySlot bound to one ActiveList — the
+ * set of busy components of its kind in its spatial block — and flips
+ * its own membership on its idle/busy transitions:
  *
- *  - a channel is busy while its flit or credit pipe is non-empty;
+ *  - a channel is busy while its flit pipe is non-empty (credits are
+ *    pulled by their consumer and never wake anything, DESIGN.md §6i);
  *  - a router is busy while any input VC holds a flit (flitCount_ > 0
  *    over the SoA core's FIFOs; a flitless router has empty rcMask /
  *    vaReqMask / saReqMask request sets, so RC, VA, SA and occupancy
@@ -17,234 +17,153 @@
  *    stream has work.
  *
  * The flags are exact, not heuristic: a wakeup is just the producer
- * side of an event (flit send, credit send, packet enqueue) marking
- * the consumer's slot busy before the consumer's next scan.
+ * side of an event (flit send, packet enqueue) marking the consumer's
+ * slot busy before the consumer's next scan.
  *
- * Dense active lists (§6g): scanning the whole bitmap every cycle
- * costs O(total) even when almost everything is idle. An ActiveList
- * keeps the busy members of one bitmap as a sorted index list:
- * components append themselves on their idle→busy transition (via
- * wake hooks registered on the ActivitySlot), newly woken indices are
- * merged in canonical ascending order before each scan, and entries
- * whose busy byte has cleared are compacted out in place during the
- * scan. Iteration therefore visits — and costs — O(active), while
- * preserving the exact index order the bitmap scan used, which is
- * what bit-identity of the simulation depends on. All storage is
- * reserved once at bind time, so the steady state allocates nothing.
+ * Dense active lists (§6g): an ActiveList is one bitmap over a
+ * block-local dense index. Members register at wiring time in
+ * ascending global id, so local order is global order and a bitmap
+ * walk visits members in the exact ascending-id order of the
+ * exhaustive loop — what bit-identity of the simulation depends on.
+ * Iteration costs O(members / 64) words plus one visit per set bit.
+ * All storage is sized at registration, so the steady state allocates
+ * nothing.
  */
 
 #ifndef HNOC_NOC_ACTIVE_SET_HH
 #define HNOC_NOC_ACTIVE_SET_HH
 
-#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "common/logging.hh"
 
 namespace hnoc
 {
 
 /**
- * Sorted dense list of busy component indices for one bitmap.
+ * Bitmap set of busy members, visited in ascending member id.
  *
- * Wake protocol: wake(i) is idempotent (an in-list byte suppresses
- * duplicate appends) and O(1) — woken indices collect unsorted in a
- * pending vector. mergePending() sorts the pending batch and merges
- * it with the main list (both sorted), restoring canonical ascending
- * order; forEachActive() runs the merge, then visits members in
- * ascending index order, keeping those whose busy byte is still set
- * and dropping the rest (write-index compaction). A dropped index
- * clears its in-list byte, so a later re-wake re-appends it.
+ * insert/erase are idempotent and O(1). forEachActive re-reads the
+ * live bitmap after every visit, so its contract is: a member is
+ * visited iff it is in the set when the cursor reaches it. A member
+ * inserted during a scan above the cursor is therefore visited in the
+ * same scan; one inserted at or below it waits for the next scan; one
+ * erased above the cursor is skipped.
  */
 class ActiveList
 {
   public:
     /**
-     * Size all storage once, at network construction: membership
-     * bytes cover ids [0, id_space), and the member vectors hold up
-     * to @p max_members entries (the ids that can ever wake this
-     * list). Nothing below ever reallocates afterwards.
+     * Register member @p id (strictly above every earlier id) and
+     * return its dense local index. Wiring time only: this is the one
+     * call that grows storage.
      */
-    void
-    reserve(std::size_t id_space, std::size_t max_members)
+    std::uint32_t
+    add(std::uint32_t id)
     {
-        items_.clear();
-        items_.reserve(max_members);
-        pending_.clear();
-        pending_.reserve(max_members);
-        scratch_.reserve(max_members);
-        inList_.assign(id_space, 0);
+        if (!ids_.empty() && id <= ids_.back())
+            panic("active list: member %u registered after %u", id,
+                  ids_.back());
+        auto local = static_cast<std::uint32_t>(ids_.size());
+        ids_.push_back(id);
+        bits_.resize((ids_.size() + 63) / 64, 0);
+        return local;
     }
 
-    /** Append index @p i on its idle→busy transition (idempotent). */
+    /** Mark local member @p l busy (idempotent). */
     void
-    wake(std::uint32_t i)
+    insert(std::uint32_t l)
     {
-        if (inList_[i] == 0) {
-            inList_[i] = 1;
-            pending_.push_back(i);
-        }
+        std::uint64_t &w = bits_[l >> 6];
+        std::uint64_t b = std::uint64_t{1} << (l & 63);
+        count_ += (w & b) == 0;
+        w |= b;
     }
 
-    /** Merge newly woken indices into the sorted member list. */
+    /** Mark local member @p l idle (idempotent). */
     void
-    mergePending()
+    erase(std::uint32_t l)
     {
-        if (pending_.empty())
-            return;
-        std::sort(pending_.begin(), pending_.end());
-        scratch_.clear();
-        std::size_t a = 0;
-        std::size_t b = 0;
-        while (a < items_.size() && b < pending_.size())
-            scratch_.push_back(items_[a] < pending_[b] ? items_[a++]
-                                                       : pending_[b++]);
-        while (a < items_.size())
-            scratch_.push_back(items_[a++]);
-        while (b < pending_.size())
-            scratch_.push_back(pending_[b++]);
-        items_.swap(scratch_);
-        pending_.clear();
+        std::uint64_t &w = bits_[l >> 6];
+        std::uint64_t b = std::uint64_t{1} << (l & 63);
+        count_ -= (w & b) != 0;
+        w &= ~b;
     }
 
-    /**
-     * Visit every member whose @p busy byte is set, in ascending
-     * index order; compact out members whose byte has cleared. The
-     * busy check happens before the visit, so a visit that idles its
-     * own component keeps the entry for one more (dropping) scan —
-     * deterministic either way.
-     */
+    /** Visit every busy member's global id in ascending order. */
     template <typename Fn>
     void
-    forEachActive(const std::uint8_t *busy, Fn &&fn)
+    forEachActive(Fn &&fn)
     {
-        mergePending();
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < items_.size(); ++i) {
-            std::uint32_t id = items_[i];
-            if (busy[id]) {
-                fn(id);
-                items_[keep++] = id;
-            } else {
-                inList_[id] = 0;
+        for (std::size_t w = 0, n = bits_.size(); w < n; ++w) {
+            std::uint64_t m = bits_[w];
+            while (m) {
+                int b = std::countr_zero(m);
+                fn(ids_[w * 64 + static_cast<std::size_t>(b)]);
+                m = bits_[w] & above(b);
             }
         }
-        items_.resize(keep);
     }
 
-    /**
-     * forEachActive with a one-ahead look: @p pre(next_id) runs
-     * before @p fn(current_id), giving the caller a window to issue a
-     * memory prefetch for the next member while the current one is
-     * processed. @p pre may fire for an entry whose busy byte has
-     * already cleared (a wasted prefetch, never a visible effect).
-     */
-    template <typename Fn, typename Pre>
-    void
-    forEachActive(const std::uint8_t *busy, Fn &&fn, Pre &&pre)
-    {
-        mergePending();
-        std::size_t keep = 0;
-        std::size_t n = items_.size();
-        if (n > 0)
-            pre(items_[0]);
-        for (std::size_t i = 0; i < n; ++i) {
-            std::uint32_t id = items_[i];
-            if (i + 1 < n)
-                pre(items_[i + 1]);
-            if (busy[id]) {
-                fn(id);
-                items_[keep++] = id;
-            } else {
-                inList_[id] = 0;
-            }
-        }
-        items_.resize(keep);
-    }
+    /** Busy member count. */
+    std::size_t size() const { return count_; }
 
-    /** Current member count (stale idle entries included until the
-     *  next scan compacts them). */
-    std::size_t size() const { return items_.size() + pending_.size(); }
-
-    /** Steady-state storage (reserved once; memory-audit row). */
+    /** Steady-state storage (sized at registration; memory audit). */
     std::uint64_t
     footprintBytes() const
     {
-        return (items_.capacity() + pending_.capacity() +
-                scratch_.capacity()) *
-                   sizeof(std::uint32_t) +
-               inList_.capacity();
+        return bits_.capacity() * sizeof(std::uint64_t) +
+               ids_.capacity() * sizeof(std::uint32_t);
     }
 
   private:
-    std::vector<std::uint32_t> items_;   ///< sorted current members
-    std::vector<std::uint32_t> pending_; ///< woken since last merge
-    std::vector<std::uint32_t> scratch_; ///< merge target (swapped)
-    std::vector<std::uint8_t> inList_;   ///< membership byte per index
+    /** Mask of the bits strictly above bit @p b. */
+    static std::uint64_t
+    above(int b)
+    {
+        return (~std::uint64_t{0} << b) << 1;
+    }
+
+    std::vector<std::uint64_t> bits_; ///< busy bit per local index
+    std::vector<std::uint32_t> ids_;  ///< local index -> global id
+    std::size_t count_ = 0;
 };
 
-/** One component's cell in the Network's dense busy bitmap, plus up
- *  to two active-list wake hooks (a channel participates in both a
- *  flit-delivery list and a credit-delivery list). */
+/** One component's membership in its ActiveList. */
 class ActivitySlot
 {
   public:
-    /** Bind to @p flag inside the bitmap and the shared @p count of
-     *  set flags. The storage must outlive the slot and never move. */
+    /** Bind to local index @p local of @p list. The list must outlive
+     *  the slot and never move. */
     void
-    bind(std::uint8_t *flag, std::size_t *count)
+    bind(ActiveList *list, std::uint32_t local)
     {
-        flag_ = flag;
-        count_ = count;
-    }
-
-    /** Register an active list to wake (with index @p id) on every
-     *  idle→busy transition. Register hooks before bind() so a bind
-     *  of an already-busy component enlists it. */
-    void
-    addWakeHook(ActiveList *list, std::uint32_t id)
-    {
-        if (hooks_[0].list == nullptr) {
-            hooks_[0] = {list, id};
-        } else {
-            hooks_[1] = {list, id};
-        }
+        list_ = list;
+        local_ = local;
     }
 
     /** Mark busy (idempotent). No-op while unbound. */
     void
     markBusy()
     {
-        if (flag_ && *flag_ == 0) {
-            *flag_ = 1;
-            ++*count_;
-            if (hooks_[0].list)
-                hooks_[0].list->wake(hooks_[0].id);
-            if (hooks_[1].list)
-                hooks_[1].list->wake(hooks_[1].id);
-        }
+        if (list_)
+            list_->insert(local_);
     }
 
     /** Mark idle (idempotent). No-op while unbound. */
     void
     markIdle()
     {
-        if (flag_ && *flag_ != 0) {
-            *flag_ = 0;
-            --*count_;
-        }
+        if (list_)
+            list_->erase(local_);
     }
 
   private:
-    struct WakeHook
-    {
-        ActiveList *list = nullptr;
-        std::uint32_t id = 0;
-    };
-
-    std::uint8_t *flag_ = nullptr;
-    std::size_t *count_ = nullptr;
-    WakeHook hooks_[2];
+    ActiveList *list_ = nullptr;
+    std::uint32_t local_ = 0;
 };
 
 } // namespace hnoc

@@ -7,21 +7,24 @@
  * Wide 256 b channels in HeteroNoC carry two combined 128 b flits per
  * cycle (§3.2). Delivery is a simple constant-delay pipe.
  *
- * Both pipes are fixed-capacity ring buffers sized from the channel's
- * rate and latency: at most max(lanes, 2) entries enter per cycle and
- * every entry is drained within delay + 1 cycles of being sent (the
- * Network scans every non-idle channel every cycle), so
- * max(lanes, 2) * (delay + 2) slots can never overflow. The steady
- * state therefore allocates nothing.
+ * Both pipes are fixed-capacity ring buffers. The flit pipe is drained
+ * every cycle it is non-empty (the Network scans every busy channel),
+ * and at most max(lanes, 2) flits enter per cycle, each drained within
+ * delay + 1 cycles, so max(lanes, 2) * (delay + 2) slots never
+ * overflow. Credits are pulled by the channel's driver (DESIGN.md
+ * §6i), which may sit idle with credits queued; per VC the credits in
+ * the pipe never exceed the downstream buffer depth (credit
+ * conservation), so the credit pipe also holds downVcs * depth. The
+ * steady state therefore allocates nothing.
  */
 
 #ifndef HNOC_NOC_CHANNEL_HH
 #define HNOC_NOC_CHANNEL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "common/bitops.hh"
 #include "common/hot_arena.hh"
 #include "common/logging.hh"
 #include "common/ring_buffer.hh"
@@ -42,13 +45,17 @@ class Channel
      * @param flit_delay cycles from send to delivery (includes the
      *        sender's switch-traversal stage)
      * @param credit_delay cycles for the reverse credit path
+     * @param credit_slots credits the sink can hold outstanding
+     *        (downstream VCs x buffer depth): the credit pipe's bound
+     *        while the driver leaves due credits undrained
      */
     Channel(int id, int width_bits, int lanes, int flit_delay,
-            int credit_delay)
+            int credit_delay, int credit_slots = 0)
         : id_(id), widthBits_(width_bits), lanes_(lanes),
           flitDelay_(flit_delay), creditDelay_(credit_delay),
           flitPipe_(pipeCapacity(lanes, flit_delay)),
-          creditPipe_(pipeCapacity(lanes, credit_delay))
+          creditPipe_(std::max(pipeCapacity(lanes, credit_delay),
+                               static_cast<std::size_t>(credit_slots)))
     {}
 
     int id() const { return id_; }
@@ -85,20 +92,19 @@ class Channel
         slot_.markBusy();
     }
 
-    /** Send a credit for @p vc back to the channel's driver. */
+    /** Send a credit for @p vc back to the channel's driver, which
+     *  pulls it with deliverCreditsTo (nothing is woken). */
     void
     sendCredit(VcId vc, Cycle now)
     {
         creditPipe_.push_back(
             {now + static_cast<Cycle>(creditDelay_), vc});
-        slot_.markBusy();
     }
 
     /**
      * Deliver flits arriving at @p now straight to @p sink (called as
-     * sink(const Flit &)). The hot credit/flit return path hands each
-     * entry to the receiving router or NI without staging it in a
-     * scratch vector. @return count delivered.
+     * sink(const Flit &)) without staging them in a scratch vector.
+     * @return count delivered.
      */
     template <typename Sink>
     int
@@ -123,36 +129,31 @@ class Channel
                               [&](const Flit &f) { out.push_back(f); });
     }
 
-    /** Deliver credits arriving at @p now straight to @p sink (called
-     *  as sink(VcId)). @return count delivered. */
+    /** Deliver every credit due by @p now straight to @p sink (called
+     *  as sink(VcId, Cycle due)), oldest first. @return count. */
     template <typename Sink>
     int
     deliverCreditsTo(Cycle now, Sink &&sink)
     {
         int n = 0;
         while (!creditPipe_.empty() && creditPipe_.front().at <= now) {
-            sink(creditPipe_.front().vc);
+            sink(creditPipe_.front().vc, creditPipe_.front().at);
             creditPipe_.pop_front();
             ++n;
         }
-        if (idle())
-            slot_.markIdle();
         return n;
     }
 
-    /** Collect credits arriving at @p now. @return count delivered. */
+    /** Collect credits due by @p now. @return count delivered. */
     int
     deliverCredits(Cycle now, std::vector<VcId> &out)
     {
-        return deliverCreditsTo(now,
-                                [&](VcId vc) { out.push_back(vc); });
+        return deliverCreditsTo(
+            now, [&](VcId vc, Cycle) { out.push_back(vc); });
     }
 
-    bool
-    idle() const
-    {
-        return flitPipe_.empty() && creditPipe_.empty();
-    }
+    /** No flit in flight (queued credits never make a channel busy). */
+    bool idle() const { return flitPipe_.empty(); }
 
     /** Bytes moveToArena() will carve (each pipe 64-B aligned). */
     std::size_t
@@ -179,32 +180,12 @@ class Channel
             creditPipe_.moveStorageTo(nc);
     }
 
-    /** Pull this channel's delivery state toward the cache one
-     *  active-list entry ahead of its deliver call (§6g): the object
-     *  header (pipe bookkeeping) and both pipes' front slots. */
+    /** Join @p list (at local index @p local) as a flit-delivery
+     *  member; a channel is a member while its flit pipe is busy. */
     void
-    prefetchDelivery() const
+    bindActivitySlot(ActiveList *list, std::uint32_t local)
     {
-        bitops::prefetch(this);
-        flitPipe_.prefetchFront();
-        creditPipe_.prefetchFront();
-    }
-
-    /** Register a dense active list woken (with @p id) on this
-     *  channel's idle→busy transitions; a channel typically joins two
-     *  lists (flit-delivery role and credit-delivery role). Call
-     *  before bindActivitySlot. */
-    void
-    addActivityWake(ActiveList *list, std::uint32_t id)
-    {
-        slot_.addWakeHook(list, id);
-    }
-
-    /** Bind this channel's cell in the Network's active-set bitmap. */
-    void
-    bindActivitySlot(std::uint8_t *flag, std::size_t *count)
-    {
-        slot_.bind(flag, count);
+        slot_.bind(list, local);
         if (!idle())
             slot_.markBusy();
     }
@@ -222,15 +203,20 @@ class Channel
         return n;
     }
 
-    /** Credits for @p vc currently in the reverse pipe. */
+    /** Credits for @p vc still in flight at the step boundary before
+     *  cycle @p now (due at or after @p now). */
     int
-    pipeCredits(VcId vc) const
+    pipeCredits(VcId vc, Cycle now) const
     {
-        int n = 0;
-        for (std::size_t i = 0; i < creditPipe_.size(); ++i)
-            if (creditPipe_[i].vc == vc)
-                ++n;
-        return n;
+        return countCredits(vc, [&](Cycle at) { return at >= now; });
+    }
+
+    /** Credits for @p vc due before cycle @p now that the driver has
+     *  not pulled yet; the driver's accessors count them as held. */
+    int
+    dueCredits(VcId vc, Cycle now) const
+    {
+        return countCredits(vc, [&](Cycle at) { return at < now; });
     }
     ///@}
 
@@ -298,8 +284,20 @@ class Channel
         VcId vc = 0;
     };
 
-    /** Occupancy bound: <= max(lanes, 2) sends per cycle, each drained
-     *  within delay + 1 cycles (+1 slack for the same-cycle window). */
+    template <typename Pred>
+    int
+    countCredits(VcId vc, Pred &&pred) const
+    {
+        int n = 0;
+        for (std::size_t i = 0; i < creditPipe_.size(); ++i)
+            if (creditPipe_[i].vc == vc && pred(creditPipe_[i].at))
+                ++n;
+        return n;
+    }
+
+    /** Occupancy bound of a pipe drained every cycle: <= max(lanes,
+     *  2) sends per cycle, each drained within delay + 1 cycles (+1
+     *  slack for the same-cycle window). */
     static std::size_t
     pipeCapacity(int lanes, int delay)
     {

@@ -39,8 +39,42 @@ constexpr std::uint64_t kBlockL2Bytes = 768 * 1024;
 
 } // namespace
 
+const NetworkConfig &
+Network::validated(const NetworkConfig &config)
+{
+    // Sizes that the topology and flit math divide by: reject them
+    // before anything is built from them.
+    struct
+    {
+        const char *name;
+        int value;
+    } const sizes[] = {{"radixX", config.radixX},
+                       {"radixY", config.radixY},
+                       {"concentration", config.concentration},
+                       {"flitWidthBits", config.flitWidthBits},
+                       {"dataPacketBits", config.dataPacketBits}};
+    for (const auto &sz : sizes)
+        if (sz.value < 1)
+            fatal("%s %d < 1", sz.name, sz.value);
+    // The blocked step order delivers cross-block traffic in per-block
+    // passes, and credits are pulled by their driver (DESIGN.md §6i):
+    // both rely on nothing sent at cycle t being deliverable at t, so
+    // every channel delay must be at least one cycle. Flit delays are
+    // linkLatency (injection) and pipelineStages - 1 + linkLatency;
+    // every credit delay is linkLatency.
+    if (config.linkLatency < 1)
+        fatal("linkLatency %d < 1: every channel delay must be >= 1 "
+              "cycle", config.linkLatency);
+    if (config.pipelineStages < 1)
+        fatal("pipelineStages %d < 1: every channel delay must be >= 1 "
+              "cycle", config.pipelineStages);
+    if (config.blockTiles < 0)
+        fatal("blockTiles %d < 0 (0 means auto-size)", config.blockTiles);
+    return config;
+}
+
 Network::Network(const NetworkConfig &config)
-    : config_(config), topo_(Topology::create(config)),
+    : config_(validated(config)), topo_(Topology::create(config_)),
       routing_(RoutingAlgorithm::create(config_, *topo_))
 {
     if (!config_.routerVcs.empty() &&
@@ -65,77 +99,46 @@ Network::Network(const NetworkConfig &config)
 
     alwaysStep_ = config_.alwaysStep || alwaysStepFromEnv();
 
-    // The blocked step order delivers cross-block traffic in per-block
-    // passes; a zero-delay channel could make a same-cycle send
-    // deliverable before its receiver's pass has run, so every delay
-    // (flit and credit paths both derive from linkLatency) must be
-    // at least one cycle.
-    if (config_.linkLatency < 1)
-        fatal("linkLatency %d < 1: every channel delay must be >= 1 "
-              "cycle", config_.linkLatency);
-    if (config_.blockTiles < 0)
-        fatal("blockTiles %d < 0 (0 means auto-size)",
-              config_.blockTiles);
-
     build();
     setupBlocks();
     packHotArena();
 
-    // Register active-list wake hooks, then bind every component's
-    // ActivitySlot into the dense busy bitmaps (in that order: a bind
-    // of an already-busy component must enlist it). The bitmaps are
-    // sized exactly once here; the slots keep raw pointers into them,
-    // so they must never reallocate.
-    endBusy_.assign(ends_.size(), 0);
-    routerBusy_.assign(routers_.size(), 0);
-    niBusy_.assign(nis_.size(), 0);
+    // Enlist every component in its block's active list. Ids are
+    // registered in ascending order, so each list's dense local order
+    // is the canonical global order.
     for (std::size_t i = 0; i < ends_.size(); ++i) {
         const ChannelEnds &e = ends_[i];
-        auto id = static_cast<std::uint32_t>(i);
-        if (!e.sinkIsRouter) {
-            e.chan->addActivityWake(&ejectEnds_, id);
-        } else {
-            e.chan->addActivityWake(
-                &blockFlitEnds_[static_cast<std::size_t>(
-                    blockOf(e.sinkRouter))],
-                id);
-            // Credits return to the driver: a router, or — for
-            // NI-driven injection channels — the NI attached to the
-            // sink router, so either way the block that steps the
-            // receiver also delivers its credits.
-            RouterId cr =
-                e.driverIsRouter ? e.driverRouter : e.sinkRouter;
-            e.chan->addActivityWake(
-                &blockCreditEnds_[static_cast<std::size_t>(blockOf(cr))],
-                id);
-        }
-        e.chan->bindActivitySlot(&endBusy_[i], &busyEnds_);
+        ActiveList &list =
+            e.sinkIsRouter ? blockFlitEnds_[static_cast<std::size_t>(
+                                 blockOf(e.sinkRouter))]
+                           : ejectEnds_;
+        e.chan->bindActivitySlot(&list,
+                                 list.add(static_cast<std::uint32_t>(i)));
     }
     for (std::size_t i = 0; i < routers_.size(); ++i) {
-        routers_[i].addActivityWake(
-            &blockRouters_[static_cast<std::size_t>(
-                blockOf(static_cast<RouterId>(i)))],
-            static_cast<std::uint32_t>(i));
-        routers_[i].bindActivitySlot(&routerBusy_[i], &busyRouters_);
+        ActiveList &list = blockRouters_[static_cast<std::size_t>(
+            blockOf(static_cast<RouterId>(i)))];
+        routers_[i].bindActivitySlot(
+            &list, list.add(static_cast<std::uint32_t>(i)));
     }
     for (std::size_t i = 0; i < nis_.size(); ++i) {
-        RouterId r = topo_->routerOfNode(static_cast<NodeId>(i));
-        nis_[i]->addActivityWake(
-            &blockNis_[static_cast<std::size_t>(blockOf(r))],
-            static_cast<std::uint32_t>(i));
-        nis_[i]->bindActivitySlot(&niBusy_[i], &busyNis_);
+        ActiveList &list = blockNis_[static_cast<std::size_t>(
+            blockOf(topo_->routerOfNode(static_cast<NodeId>(i))))];
+        nis_[i]->bindActivitySlot(&list,
+                                  list.add(static_cast<std::uint32_t>(i)));
     }
 }
 
 Network::~Network() = default;
 
 Channel *
-Network::makeChannel(int width_bits, int flit_delay, int credit_delay)
+Network::makeChannel(int width_bits, int flit_delay, int credit_delay,
+                     int credit_slots)
 {
     int lanes = std::max(1, width_bits / config_.flitWidthBits);
     channels_.push_back(std::make_unique<Channel>(
         static_cast<int>(channels_.size()), width_bits, lanes, flit_delay,
-        credit_delay));
+        credit_delay, credit_slots));
     Channel *c = channels_.back().get();
     if (lanes > 1)
         wideChannels_.push_back(c);
@@ -168,9 +171,10 @@ Network::build()
             const PortPeer &peer = topo_->peer(r, p);
             if (peer.router == INVALID_ROUTER)
                 continue;
-            Channel *ch =
-                makeChannel(config_.channelBits(r, peer.router),
-                            inter_delay, config_.linkLatency);
+            Channel *ch = makeChannel(
+                config_.channelBits(r, peer.router), inter_delay,
+                config_.linkLatency,
+                config_.vcsOf(peer.router) * config_.bufferDepth);
             routers_[static_cast<std::size_t>(r)].connectOutput(
                 p, ch, config_.vcsOf(peer.router), config_.bufferDepth);
             routers_[static_cast<std::size_t>(peer.router)].connectInput(
@@ -199,10 +203,10 @@ Network::build()
         NetworkInterface &ni = *nis_.back();
 
         int local_bits = config_.localChannelBits(r);
+        int local_slots = config_.vcsOf(r) * config_.bufferDepth;
 
-        Channel *inj =
-            makeChannel(local_bits, config_.linkLatency,
-                        config_.linkLatency);
+        Channel *inj = makeChannel(local_bits, config_.linkLatency,
+                                   config_.linkLatency, local_slots);
         router.connectInput(lp, inj);
         ni.connectInjection(inj, config_.vcsOf(r), config_.bufferDepth,
                             &router.activity(),
@@ -217,7 +221,7 @@ Network::build()
         ends_.push_back(ei);
 
         Channel *ej = makeChannel(local_bits, inter_delay,
-                                  config_.linkLatency);
+                                  config_.linkLatency, local_slots);
         router.connectOutput(lp, ej, config_.vcsOf(r),
                              config_.bufferDepth);
         router.markEjectionPort(lp);
@@ -273,40 +277,10 @@ Network::setupBlocks()
     blockTiles_ = std::min(tiles, n_routers);
     numBlocks_ = (n_routers + blockTiles_ - 1) / blockTiles_;
 
-    // Size each block's active lists to its exact membership so the
-    // steady state never reallocates.
     auto nb = static_cast<std::size_t>(numBlocks_);
-    std::vector<std::size_t> flit_count(nb, 0);
-    std::vector<std::size_t> credit_count(nb, 0);
-    std::vector<std::size_t> router_count(nb, 0);
-    std::vector<std::size_t> ni_count(nb, 0);
-    std::size_t eject_count = 0;
-    for (const ChannelEnds &e : ends_) {
-        if (!e.sinkIsRouter) {
-            ++eject_count;
-            continue;
-        }
-        ++flit_count[static_cast<std::size_t>(blockOf(e.sinkRouter))];
-        RouterId cr = e.driverIsRouter ? e.driverRouter : e.sinkRouter;
-        ++credit_count[static_cast<std::size_t>(blockOf(cr))];
-    }
-    for (RouterId r = 0; r < n_routers; ++r)
-        ++router_count[static_cast<std::size_t>(blockOf(r))];
-    for (NodeId n = 0; n < topo_->numNodes(); ++n)
-        ++ni_count[static_cast<std::size_t>(
-            blockOf(topo_->routerOfNode(n)))];
-
-    ejectEnds_.reserve(ends_.size(), eject_count);
     blockFlitEnds_.resize(nb);
-    blockCreditEnds_.resize(nb);
     blockRouters_.resize(nb);
     blockNis_.resize(nb);
-    for (std::size_t b = 0; b < nb; ++b) {
-        blockFlitEnds_[b].reserve(ends_.size(), flit_count[b]);
-        blockCreditEnds_[b].reserve(ends_.size(), credit_count[b]);
-        blockRouters_[b].reserve(routers_.size(), router_count[b]);
-        blockNis_[b].reserve(nis_.size(), ni_count[b]);
-    }
 }
 
 void
@@ -566,17 +540,11 @@ Network::memoryAudit() const
           packetArena_.size());
 
     std::uint64_t lists = ejectEnds_.footprintBytes();
-    for (const ActiveList *vec :
-         {blockFlitEnds_.data(), blockCreditEnds_.data(),
-          blockRouters_.data(), blockNis_.data()})
-        for (std::size_t i = 0; i < static_cast<std::size_t>(numBlocks_);
-             ++i)
-            lists += vec[i].footprintBytes() + sizeof(ActiveList);
-    a.add("active_set",
-          endBusy_.capacity() + routerBusy_.capacity() +
-              niBusy_.capacity() +
-              ends_.capacity() * sizeof(ChannelEnds) + lists,
-          endBusy_.size() + routerBusy_.size() + niBusy_.size());
+    for (const auto *vec : {&blockFlitEnds_, &blockRouters_, &blockNis_})
+        for (const ActiveList &l : *vec)
+            lists += l.footprintBytes() + sizeof(ActiveList);
+    a.add("active_set", ends_.capacity() * sizeof(ChannelEnds) + lists,
+          ends_.size() + routers_.size() + nis_.size());
 
     if (hotArena_.reservedBytes() > 0)
         a.add("hot_arena_pad",
@@ -639,11 +607,11 @@ Network::auditCreditConservation(std::string *err) const
             int driver_credits =
                 e.driverIsRouter
                     ? routers_[static_cast<std::size_t>(e.driverRouter)]
-                          .outputCredits(e.driverPort, v)
+                          .outputCredits(e.driverPort, v, cycle_)
                     : nis_[static_cast<std::size_t>(e.driverNode)]
-                          ->injectionCredits(v);
+                          ->injectionCredits(v, cycle_);
             int in_flight_flits = e.chan->pipeFlits(v);
-            int in_flight_credits = e.chan->pipeCredits(v);
+            int in_flight_credits = e.chan->pipeCredits(v, cycle_);
             int sink_occ =
                 e.sinkIsRouter
                     ? routers_[static_cast<std::size_t>(e.sinkRouter)]
@@ -730,7 +698,7 @@ Network::postmortemJson(const std::string &reason) const
         for (PortId p = 0; p < router.numPorts(); ++p) {
             for (VcId v = 0; v < router.outputVcCount(p); ++v) {
                 bool allocated = router.outputAllocated(p, v);
-                int credits = router.outputCredits(p, v);
+                int credits = router.outputCredits(p, v, cycle_);
                 if (!allocated && credits == config_.bufferDepth)
                     continue;
                 w.beginObject();
@@ -817,13 +785,11 @@ Network::step()
     Profiler *prof = kTelemetryEnabled ? profiler_ : nullptr;
     ProfScope stepScope(prof, ProfPhase::StepTotal);
 
-    // Channel delivery (flits, then credits) is split into a flit
-    // role and a credit role so the cache-blocked path can run each
-    // in its receiver's block pass. Flits and credits are handed
-    // straight to their receiver — router input-VC SoA arrays or the
-    // NI — without staging in a scratch vector; per-channel delivery
-    // order (flits, then credits, each oldest-first) is unchanged.
-    auto deliverFlitsOf = [&](ChannelEnds &e) {
+    // Channel delivery hands each flit straight to its receiver —
+    // router input-VC SoA arrays or the NI — without staging it in a
+    // scratch vector. Credits are not delivered here: each driver
+    // pulls its own when it next reads them (DESIGN.md §6i).
+    auto deliverFlitsOf = [&](const ChannelEnds &e) {
         if (e.sinkIsRouter) {
             Router &r = routers_[static_cast<std::size_t>(e.sinkRouter)];
             e.chan->deliverFlitsTo(now, [&](const Flit &f) {
@@ -891,42 +857,18 @@ Network::step()
             });
         }
     };
-    auto deliverCreditsOf = [&](ChannelEnds &e) {
-        if (e.driverIsRouter) {
-            Router &r =
-                routers_[static_cast<std::size_t>(e.driverRouter)];
-            e.chan->deliverCreditsTo(now, [&](VcId vc) {
-                r.receiveCredit(e.driverPort, vc, now);
-            });
-        } else {
-            NetworkInterface &ni =
-                *nis_[static_cast<std::size_t>(e.driverNode)];
-            e.chan->deliverCreditsTo(now,
-                                     [&](VcId vc) { ni.receiveCredit(vc); });
-        }
-    };
-    auto deliverEnd = [&](ChannelEnds &e) {
-        deliverFlitsOf(e);
-        deliverCreditsOf(e);
-    };
 
     if (alwaysStep_) {
         // Exhaustive phase-major reference loop: every channel end,
         // every router, every NI, in canonical index order.
-        for (std::size_t i = 0, n = ends_.size(); i < n; ++i) {
-            if (ends_[i].chan->idle())
+        for (const ChannelEnds &e : ends_) {
+            if (e.chan->idle())
                 continue;
-            if (prof) {
-                // Router-sink channels file under channel_delivery;
-                // the terminal ejection channels (flit consumption +
-                // credit return at the NI) under ni_eject.
-                ProfScope s(prof, ends_[i].sinkIsRouter
-                                      ? ProfPhase::ChannelDelivery
-                                      : ProfPhase::NiEject);
-                deliverEnd(ends_[i]);
-            } else {
-                deliverEnd(ends_[i]);
-            }
+            // Router-sink channels file under channel_delivery; the
+            // terminal ejection channels under ni_eject.
+            ProfScope s(prof, e.sinkIsRouter ? ProfPhase::ChannelDelivery
+                                             : ProfPhase::NiEject);
+            deliverFlitsOf(e);
         }
         for (auto &r : routers_)
             r.step(now);
@@ -944,78 +886,35 @@ Network::step()
         // canonical node order of terminal ejections are what the
         // results depend on, and both are preserved. See DESIGN.md
         // §6g for the full bit-identity argument.
-        //
+        auto visit_end = [&](std::uint32_t i) { deliverFlitsOf(ends_[i]); };
         // Eject pass first: terminal (NI-sink) ends in canonical node
-        // order — flit consumption, delivery callbacks, and the
-        // credit return to the driver router's ejection port (a
-        // commutative counter increment that precedes every router
-        // step).
-        // Prefetch look-ahead pays only when the chip's working set
-        // exceeds one cache block (multi-block networks streaming
-        // from L3); on a single-block network everything is already
-        // resident and the extra per-entry work is pure scan
-        // overhead.
-        const bool look_ahead = numBlocks_ > 1;
-        if (busyEnds_ > 0) {
+        // order — flit consumption and delivery callbacks.
+        if (ejectEnds_.size() > 0) {
             ProfScope s(prof, ProfPhase::NiEject);
-            auto visit = [&](std::uint32_t i) { deliverEnd(ends_[i]); };
-            if (look_ahead)
-                ejectEnds_.forEachActive(
-                    endBusy_.data(), visit, [&](std::uint32_t i) {
-                        ends_[i].chan->prefetchDelivery();
-                    });
-            else
-                ejectEnds_.forEachActive(endBusy_.data(), visit);
+            ejectEnds_.forEachActive(visit_end);
         }
-        // Then per block: deliver the block's inbound flits and
-        // outbound-channel credits, step its routers, inject from its
-        // NIs — touching each block's packed hot state once per cycle
-        // while it is cache-resident.
+        // Then per block: deliver the block's inbound flits, step its
+        // routers, inject from its NIs — touching each block's packed
+        // hot state once per cycle while it is cache-resident.
         for (int b = 0; b < numBlocks_; ++b) {
             auto bi = static_cast<std::size_t>(b);
             ActiveList &fl = blockFlitEnds_[bi];
-            ActiveList &cl = blockCreditEnds_[bi];
             ActiveList &rl = blockRouters_[bi];
             ActiveList &nl = blockNis_[bi];
-            if (fl.size() == 0 && cl.size() == 0 && rl.size() == 0 &&
-                nl.size() == 0)
+            if (fl.size() == 0 && rl.size() == 0 && nl.size() == 0)
                 continue;
             std::chrono::steady_clock::time_point t0;
             if (prof)
                 t0 = std::chrono::steady_clock::now();
             {
                 ProfScope s(prof, ProfPhase::ChannelDelivery);
-                auto visit_f = [&](std::uint32_t i) {
-                    deliverFlitsOf(ends_[i]);
-                };
-                auto visit_c = [&](std::uint32_t i) {
-                    deliverCreditsOf(ends_[i]);
-                };
-                if (look_ahead) {
-                    auto pre_chan = [&](std::uint32_t i) {
-                        ends_[i].chan->prefetchDelivery();
-                    };
-                    fl.forEachActive(endBusy_.data(), visit_f, pre_chan);
-                    cl.forEachActive(endBusy_.data(), visit_c, pre_chan);
-                } else {
-                    fl.forEachActive(endBusy_.data(), visit_f);
-                    cl.forEachActive(endBusy_.data(), visit_c);
-                }
+                fl.forEachActive(visit_end);
             }
-            auto visit_r = [&](std::uint32_t i) {
-                routers_[i].step(now);
-            };
-            if (look_ahead)
-                rl.forEachActive(
-                    routerBusy_.data(), visit_r,
-                    [&](std::uint32_t i) { routers_[i].prefetchStep(); });
-            else
-                rl.forEachActive(routerBusy_.data(), visit_r);
+            rl.forEachActive([&](std::uint32_t i) { routers_[i].step(now); });
             {
                 ProfScope s(prof, ProfPhase::NiInject);
-                nl.forEachActive(niBusy_.data(), [&](std::uint32_t i) {
-                    nis_[i]->stepInject(now);
-                });
+                nl.forEachActive(
+                    [&](std::uint32_t i) { nis_[i]->stepInject(now); });
             }
             if (prof)
                 prof->addBlock(

@@ -163,6 +163,16 @@ class Network
     std::uint64_t flitsDelivered() const { return flitsDelivered_; }
     Cycle lastDeliveryCycle() const { return lastDelivery_; }
 
+    /** Router @p r and the NI of node @p n (read-only introspection). */
+    const Router &router(RouterId r) const
+    {
+        return routers_[static_cast<std::size_t>(r)];
+    }
+    const NetworkInterface &ni(NodeId n) const
+    {
+        return *nis_[static_cast<std::size_t>(n)];
+    }
+
     /** @return live (created, not yet delivered) packets. */
     std::size_t packetsInFlight() const { return livePackets_; }
 
@@ -292,8 +302,10 @@ class Network
         NodeId driverNode = INVALID_NODE;
     };
 
+    static const NetworkConfig &validated(const NetworkConfig &config);
     void build();
-    Channel *makeChannel(int width_bits, int flit_delay, int credit_delay);
+    Channel *makeChannel(int width_bits, int flit_delay, int credit_delay,
+                         int credit_slots);
     void setupBlocks();
     void packHotArena();
     Packet *allocPacket();
@@ -320,30 +332,17 @@ class Network
     std::vector<ChannelEnds> ends_;
     std::vector<Channel *> wideChannels_;
 
-    /**
-     * Active-set state: one dense busy byte per component, flipped by
-     * the components themselves (via bound ActivitySlots) and scanned
-     * in index order so iteration stays canonical. The byte vectors
-     * are sized once in build() and never reallocate — the slots hold
-     * raw pointers into them. Counters give the all-idle fast path.
-     */
-    std::vector<std::uint8_t> endBusy_;
-    std::vector<std::uint8_t> routerBusy_;
-    std::vector<std::uint8_t> niBusy_;
-    std::size_t busyEnds_ = 0;
-    std::size_t busyRouters_ = 0;
-    std::size_t busyNis_ = 0;
     bool alwaysStep_ = false;
 
     /**
      * Cache-blocked step order (§6g): routers partition into
      * contiguous-id spatial blocks of blockTiles_ routers; each block
-     * owns dense active lists for the channel ends it delivers
-     * (flit role keyed by sink router, credit role keyed by driver
-     * router), its routers, and the NIs attached to its routers.
-     * Terminal ejection ends (NI sink) live in one global list
-     * scanned first each cycle in canonical order. Components enlist
-     * themselves via ActivitySlot wake hooks.
+     * owns bitmap active lists of the channel ends whose flits it
+     * delivers (keyed by sink router), its routers, and the NIs
+     * attached to its routers. Terminal ejection ends (NI sink) live
+     * in one global list scanned first each cycle in canonical order.
+     * Components flip their own membership via their ActivitySlot;
+     * the list vectors are sized once and never reallocate.
      */
     int blockTiles_ = 0;
     int numBlocks_ = 1;
@@ -353,7 +352,6 @@ class Network
     HotArena hotArena_;
     ActiveList ejectEnds_;
     std::vector<ActiveList> blockFlitEnds_;
-    std::vector<ActiveList> blockCreditEnds_;
     std::vector<ActiveList> blockRouters_;
     std::vector<ActiveList> blockNis_;
 

@@ -13,6 +13,11 @@ NetworkInterface::stepInject(Cycle now)
 {
     if (!inj_)
         return;
+    // Pull the credits due by now (DESIGN.md §6i): this is their only
+    // reader, so an idle NI may leave them queued.
+    inj_->deliverCreditsTo(now, [&](VcId vc, Cycle) {
+        ++credits_[static_cast<std::size_t>(vc)];
+    });
     int lanes = inj_->lanes();
     int sent = 0;
     int vcs = static_cast<int>(streams_.size());

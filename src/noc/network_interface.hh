@@ -73,13 +73,6 @@ class NetworkInterface
     /** Send up to lane-limit flits this cycle. */
     void stepInject(Cycle now);
 
-    /** A credit returned by the router's local input port. */
-    void
-    receiveCredit(VcId vc)
-    {
-        ++credits_[static_cast<std::size_t>(vc)];
-    }
-
     /** A flit delivered for ejection. Returns the completed packet
      *  (tail arrived) or nullptr. */
     Packet *receiveFlit(const Flit &flit, Cycle now);
@@ -89,34 +82,30 @@ class NetworkInterface
     /**
      * @return true if stepInject this cycle can have any effect:
      * a queued packet awaits a stream, or a stream is mid-packet
-     * (possibly stalled on credits — stalled streams stay busy so the
-     * credit return needs no wakeup hook of its own).
+     * (possibly stalled on credits — stalled streams stay busy, and
+     * stepInject pulls its own credits, so credit return needs no
+     * wakeup hook).
      */
     bool busy() const { return !sourceQueue_.empty() || activeStreams_ > 0; }
 
-    /** Register a dense active list woken (with @p id) on this NI's
-     *  idle→busy transitions; call before bindActivitySlot. */
+    /** Join @p list (at local index @p local) as a member while
+     *  busy. */
     void
-    addActivityWake(ActiveList *list, std::uint32_t id)
+    bindActivitySlot(ActiveList *list, std::uint32_t local)
     {
-        slot_.addWakeHook(list, id);
-    }
-
-    /** Bind this NI's cell in the Network's active-set bitmap. */
-    void
-    bindActivitySlot(std::uint8_t *flag, std::size_t *count)
-    {
-        slot_.bind(flag, count);
+        slot_.bind(list, local);
         if (busy())
             slot_.markBusy();
     }
 
-    /** Credits held toward the router's local input VC @p vc
-     *  (conservation audit). */
+    /** Credits held toward the router's local input VC @p vc at the
+     *  step boundary before cycle @p now, due-but-unpulled ones
+     *  included (conservation audit). */
     int
-    injectionCredits(VcId vc) const
+    injectionCredits(VcId vc, Cycle now) const
     {
-        return credits_[static_cast<std::size_t>(vc)];
+        return credits_[static_cast<std::size_t>(vc)] +
+               inj_->dueCredits(vc, now);
     }
 
     NodeId node() const { return node_; }

@@ -35,18 +35,16 @@ Router::receiveFlit(PortId p, Flit flit, Cycle now)
     if (flit.vc < 0 || flit.vc >= core_.vcs)
         panic("router %d port %d: flit on invalid VC %d", id_, p, flit.vc);
     int s = core_.slot(p, flit.vc);
-    auto si = static_cast<std::size_t>(s);
-    RingBuffer<Flit> &fifo = core_.fifo[si];
-    if (static_cast<int>(fifo.size()) >= bufferDepth_)
+    if (core_.fifoSize(s) >= bufferDepth_)
         panic("router %d port %d vc %d: buffer overflow (credit bug)",
               id_, p, flit.vc);
-    if (fifo.empty()) {
-        core_.headArrive[si] = now; // this flit becomes the head
+    if (core_.fifoSize(s) == 0) {
+        core_.headArrive[s] = now; // this flit becomes the head
         if (!core_.active(s)) // an idle VC just gained a head needing RC
             bitops::maskSet(core_.rcMask, s);
     }
     flit.arrivedAt = now;
-    fifo.push_back(flit);
+    core_.fifoPush(s, flit);
     ++flitCount_;
     slot_.markBusy();
     ++activity_.bufferWrites;
@@ -57,18 +55,6 @@ Router::receiveFlit(PortId p, Flit flit, Cycle now)
                           flit.pkt ? flit.pkt->id : 0, flit.isHead());
     if (observer_)
         observer_->onFlitArrive(id_, p, flit, now);
-}
-
-void
-Router::receiveCredit(PortId p, VcId vc, Cycle now)
-{
-    RouterCore::Output &op = core_.outputs[static_cast<std::size_t>(p)];
-    int &credits = op.credits[static_cast<std::size_t>(vc)];
-    if (credits >= bufferDepth_ * 4) // generous sanity bound
-        panic("router %d port %d vc %d: credit overflow", id_, p, vc);
-    ++credits;
-    if (kTelemetryEnabled && recorder_)
-        recorder_->record(FrKind::CreditIn, now, id_, p, vc);
 }
 
 void
@@ -137,7 +123,7 @@ Router::routeCompute(Cycle now)
             auto si = static_cast<std::size_t>(s);
             if (core_.headArrive[si] >= now)
                 return true; // written this cycle; eligible next cycle
-            const Flit &head = core_.fifo[si].front();
+            const Flit &head = core_.fifoFront(s);
             if (!head.isHead())
                 panic("router %d: non-head flit at idle VC (pkt %llu)",
                       id_, static_cast<unsigned long long>(
@@ -206,7 +192,8 @@ Router::vcAllocate(Cycle now)
     // one every stepped cycle from zero), so skipping idle cycles
     // leaves the priority sequence unchanged; iterating only the set
     // bits preserves the visit order of the legacy all-slot scan
-    // because non-requesters were skipped there anyway.
+    // because non-requesters were skipped there anyway. An empty FIFO
+    // has headArrive == CYCLE_NEVER, so the one test covers both.
     if (!bitops::maskAny(core_.vaReqMask, core_.words))
         return;
     int total = core_.total;
@@ -214,7 +201,7 @@ Router::vcAllocate(Cycle now)
     bitops::forEachSetCyclic(
         core_.vaReqMask, core_.words, total, ptr, [&](int s) {
             auto si = static_cast<std::size_t>(s);
-            if (core_.fifo[si].empty() || core_.headArrive[si] >= now)
+            if (core_.headArrive[si] >= now)
                 return true;
             maybeEscape(s, now);
             RouterCore::Output &op =
@@ -274,6 +261,18 @@ Router::switchAllocatePort(PortId o, Cycle now)
     if (!bitops::maskAny(req, core_.words))
         return;
 
+    // Pull the credits due by now (DESIGN.md §6i). This port's SA walk
+    // and the blame pass after it are their only readers, and both
+    // run only while the candidate mask is non-empty.
+    op.chan->deliverCreditsTo(now, [&](VcId vc, Cycle due) {
+        int &credits = op.credits[static_cast<std::size_t>(vc)];
+        if (credits >= bufferDepth_ * 4) // generous sanity bound
+            panic("router %d port %d vc %d: credit overflow", id_, o, vc);
+        ++credits;
+        if (kTelemetryEnabled && recorder_)
+            recorder_->record(FrKind::CreditIn, due, id_, o, vc);
+    });
+
     int total = core_.total;
     int capacity = op.lanes > 1 ? 2 : 1;
     int granted = 0;
@@ -290,10 +289,9 @@ Router::switchAllocatePort(PortId o, Cycle now)
     // Returns true when the packet finished at this hop (tail sent).
     auto send_one = [&](int s, std::size_t si, PortId in_port,
                         int &pg) -> bool {
-        RingBuffer<Flit> &fifo = core_.fifo[si];
         VcId out_vc = core_.outVc[si];
-        Flit flit = fifo.front();
-        fifo.pop_front();
+        Flit flit = core_.fifoFront(s);
+        core_.fifoPop(s);
         core_.refreshHead(s);
         --flitCount_;
         --op.credits[static_cast<std::size_t>(out_vc)];
@@ -343,11 +341,11 @@ Router::switchAllocatePort(PortId o, Cycle now)
             core_.outPort[si] = INVALID_PORT;
             core_.outVc[si] = INVALID_VC;
             core_.pkt[si] = nullptr;
-            if (!fifo.empty()) // next packet's head awaits RC
+            if (core_.fifoSize(s) > 0) // next packet's head awaits RC
                 bitops::maskSet(core_.rcMask, s);
             return true; // packet finished at this hop
         }
-        if (!fifo.empty())
+        if (core_.fifoSize(s) > 0)
             core_.headSince[si] = now;
         return false;
     };
@@ -357,8 +355,7 @@ Router::switchAllocatePort(PortId o, Cycle now)
     auto consider = [&](int s) -> bool {
         auto si = static_cast<std::size_t>(s);
         PortId in_port = s / core_.vcs;
-        RingBuffer<Flit> &fifo = core_.fifo[si];
-        if (fifo.empty() || core_.headArrive[si] >= now)
+        if (core_.headArrive[si] >= now) // empty or written this cycle
             return granted < capacity;
         if (op.credits[static_cast<std::size_t>(core_.outVc[si])] <= 0) {
             if (kTelemetryEnabled && telemetry_)
@@ -383,8 +380,8 @@ Router::switchAllocatePort(PortId o, Cycle now)
         if (intraPacketPairing_ && !finished && granted < capacity &&
             pg < 2 &&
             op.credits[static_cast<std::size_t>(core_.outVc[si])] > 0 &&
-            !fifo.empty() && core_.headArrive[si] < now &&
-            fifo.front().pkt == core_.pkt[si]) {
+            core_.headArrive[si] < now &&
+            core_.fifoFront(s).pkt == core_.pkt[si]) {
             send_one(s, si, in_port, pg);
         }
         return granted < capacity;
@@ -441,7 +438,7 @@ Router::blamePass(Cycle now)
     bitops::forEachSetCyclic(
         core_.vaReqMask, core_.words, core_.total, 0, [&](int s) {
             auto si = static_cast<std::size_t>(s);
-            if (core_.fifo[si].empty() || core_.headArrive[si] >= now)
+            if (core_.headArrive[si] >= now)
                 return true;
             Packet *pkt = core_.pkt[si];
             if (!pkt || !pkt->blame)
@@ -465,13 +462,12 @@ Router::blamePass(Cycle now)
         bitops::forEachSetCyclic(
             req, core_.words, core_.total, 0, [&](int s) {
                 auto si = static_cast<std::size_t>(s);
-                const RingBuffer<Flit> &fifo = core_.fifo[si];
-                if (fifo.empty() || core_.headArrive[si] >= now)
+                if (core_.headArrive[si] >= now)
                     return true;
                 // Only the head's wait is charged here: once it has
                 // departed, body/tail stalls are tail drag and fold
                 // into the link-serialization residual at commit.
-                const Flit &front = fifo.front();
+                const Flit &front = core_.fifoFront(s);
                 if (!front.isHead() || front.pkt != core_.pkt[si])
                     return true;
                 Packet *pkt = core_.pkt[si];
@@ -498,7 +494,7 @@ Router::inputVcView(PortId p, VcId v) const
     int s = core_.slot(p, v);
     auto si = static_cast<std::size_t>(s);
     InputVcView view;
-    view.occupancy = static_cast<int>(core_.fifo[si].size());
+    view.occupancy = core_.fifoSize(s);
     view.active = core_.active(s);
     view.outPort = core_.outPort[si];
     view.outVc = core_.outVc[si];

@@ -82,20 +82,8 @@ class Router
     /** Buffer-write: a flit delivered by the input channel at @p p. */
     void receiveFlit(PortId p, Flit flit, Cycle now);
 
-    /** A credit returned for output port @p p, VC @p vc. */
-    void receiveCredit(PortId p, VcId vc, Cycle now = 0);
-
     /** Run RC / VA / SA / ST for this cycle. */
     void step(Cycle now);
-
-    /** Prefetch the step working set (issued one active-list entry
-     *  ahead by the Network's blocked step loop, §6g). */
-    void
-    prefetchStep() const
-    {
-        bitops::prefetch(this);
-        core_.prefetchStep();
-    }
 
     /** Bytes moveCoreToArena() will carve from the hot arena. */
     std::size_t coreArenaBytes() const { return core_.arenaBytes(); }
@@ -111,19 +99,12 @@ class Router
      */
     bool busy() const { return flitCount_ > 0; }
 
-    /** Register a dense active list woken (with @p id) on this
-     *  router's idle→busy transitions; call before bindActivitySlot. */
+    /** Join @p list (at local index @p local) as a member while
+     *  busy. */
     void
-    addActivityWake(ActiveList *list, std::uint32_t id)
+    bindActivitySlot(ActiveList *list, std::uint32_t local)
     {
-        slot_.addWakeHook(list, id);
-    }
-
-    /** Bind this router's cell in the Network's active-set bitmap. */
-    void
-    bindActivitySlot(std::uint8_t *flag, std::size_t *count)
-    {
-        slot_.bind(flag, count);
+        slot_.bind(list, local);
         if (busy())
             slot_.markBusy();
     }
@@ -196,9 +177,7 @@ class Router
     int
     inputVcOccupancy(PortId p, VcId v) const
     {
-        return static_cast<int>(
-            core_.fifo[static_cast<std::size_t>(core_.slot(p, v))]
-                .size());
+        return core_.fifoSize(core_.slot(p, v));
     }
 
     /** Downstream VC count credited at output port @p p (0 when the
@@ -209,12 +188,16 @@ class Router
         return core_.outputs[static_cast<std::size_t>(p)].downVcs;
     }
 
-    /** Credits held for output port @p p, downstream VC @p v. */
+    /** Credits held for output port @p p, downstream VC @p v, at
+     *  the step boundary before cycle @p now: the counter plus the
+     *  credits due earlier that the port has not pulled yet. */
     int
-    outputCredits(PortId p, VcId v) const
+    outputCredits(PortId p, VcId v, Cycle now) const
     {
-        return core_.outputs[static_cast<std::size_t>(p)]
-            .credits[static_cast<std::size_t>(v)];
+        const RouterCore::Output &op =
+            core_.outputs[static_cast<std::size_t>(p)];
+        return op.credits[static_cast<std::size_t>(v)] +
+               op.chan->dueCredits(v, now);
     }
 
     /** Is downstream VC @p v at output port @p p allocated? */

@@ -24,8 +24,10 @@
  * aligned buffer, each section starting on its own cache line. A
  * cycle's RC/VA/SA work therefore streams one contiguous region per
  * router instead of a dozen scattered heap blocks — the unit the
- * cache-blocked Network step order is sized around. Per-output
- * downstream credit counters are likewise packed into a second
+ * cache-blocked Network step order is sized around. Each slot's input
+ * FIFO is a head/count cursor pair in that hot buffer over one
+ * contiguous flit store (slot s owns flits [s*cap, (s+1)*cap)). Per-
+ * output downstream credit counters are likewise packed into a second
  * aligned buffer (one 64-byte-aligned row per output port) built by
  * finalizeWiring() once all ports are connected.
  *
@@ -37,6 +39,7 @@
 #ifndef HNOC_NOC_ROUTER_CORE_HH
 #define HNOC_NOC_ROUTER_CORE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -45,7 +48,6 @@
 #include "common/bitops.hh"
 #include "common/hot_arena.hh"
 #include "common/logging.hh"
-#include "common/ring_buffer.hh"
 #include "common/types.hh"
 #include "noc/flit.hh"
 
@@ -68,9 +70,10 @@ struct RouterCore
         int downVcs = 0;
         std::uint64_t allocMask = 0; ///< allocated downstream VCs
         int *credits = nullptr;      ///< per downstream VC (packed row)
-        /** Grant-driven part of the SA rotating pointer; the
-         *  per-cycle part is implicit (ptr = (rrOffset + now) %
-         *  total), so skipped idle cycles cannot desynchronise it. */
+        /** Grant-driven part of the SA rotating pointer, in [0,
+         *  total); the per-cycle part is implicit (ptr = (rrOffset +
+         *  now) % total), so skipped idle cycles cannot desynchronise
+         *  it. */
         unsigned rrOffset = 0;
         /** Initial credit count, held until finalizeWiring(). */
         int initDepth = 0;
@@ -80,11 +83,14 @@ struct RouterCore
     int vcs = 0;
     int total = 0; ///< ports * vcs input-VC slots
     int words = 0; ///< 64-bit words per slot mask
+    int fifoCap = 0; ///< flit slots per FIFO (depth rounded to 2^k)
 
     /** @name Per-slot parallel arrays (slot = port * vcs + vc),
      *  pointing into the packed hot buffer (hotStore_) */
     ///@{
-    std::vector<RingBuffer<Flit>> fifo; ///< fixed capacity = depth
+    Flit *fifoFlits = nullptr; ///< slot s at [s*fifoCap, (s+1)*fifoCap)
+    int *fifoHead = nullptr;   ///< front index within the slot's ring
+    int *fifoCount = nullptr;  ///< buffered flits
     PortId *outPort = nullptr;
     VcId *outVc = nullptr; ///< INVALID until VA succeeds
     VcId *vcLo = nullptr;  ///< admissible downstream VC range
@@ -125,19 +131,15 @@ struct RouterCore
         words = bitops::maskWords(total);
 
         // Pack every slot's FIFO ring into one contiguous per-router
-        // allocation (§6g): slot i owns fifoStore_[i*cap, (i+1)*cap).
-        // One allocation replaces `total` scattered ones, so the
-        // pipeline's buffer reads/writes stream instead of chasing
-        // heap pointers.
+        // allocation (§6g): slot i owns fifoStore_[i*cap, (i+1)*cap),
+        // indexed by its head/count cursors in the hot buffer. The
+        // power-of-two capacity makes the wrap a mask.
         auto n = static_cast<std::size_t>(total);
-        std::size_t cap = RingBuffer<Flit>::boundCapacity(
-            static_cast<std::size_t>(buffer_depth));
-        fifoStore_.assign(n * cap, Flit{});
-        fifoBase_ = fifoStore_.data();
-        fifo.resize(n);
-        for (std::size_t i = 0; i < n; ++i)
-            fifo[i].bindStorage(fifoStore_.data() + i * cap,
-                                static_cast<std::size_t>(buffer_depth));
+        fifoCap = 1;
+        while (fifoCap < buffer_depth)
+            fifoCap <<= 1;
+        fifoStore_.assign(n * static_cast<std::size_t>(fifoCap), Flit{});
+        fifoFlits = fifoStore_.data();
 
         // Lay the masks and slot arrays out in one aligned buffer:
         // every section starts on a 64-byte boundary (units below are
@@ -168,6 +170,10 @@ struct RouterCore
         off += u32Sect;
         std::size_t offVcHi = off;
         off += u32Sect;
+        std::size_t offFifoHead = off;
+        off += u32Sect;
+        std::size_t offFifoCount = off;
+        off += u32Sect;
         std::size_t portSect =
             alignLine((static_cast<std::size_t>(ports) + 1) / 2);
         std::size_t offSaGrants = off;
@@ -189,6 +195,8 @@ struct RouterCore
         outVc = reinterpret_cast<VcId *>(base + offOutVc);
         vcLo = reinterpret_cast<VcId *>(base + offVcLo);
         vcHi = reinterpret_cast<VcId *>(base + offVcHi);
+        fifoHead = reinterpret_cast<int *>(base + offFifoHead);
+        fifoCount = reinterpret_cast<int *>(base + offFifoCount);
         saGrants = reinterpret_cast<int *>(base + offSaGrants);
         saGrantOut = reinterpret_cast<PortId *>(base + offSaGrantOut);
 
@@ -205,6 +213,8 @@ struct RouterCore
             headSince[i] = 0;
             headArrive[i] = CYCLE_NEVER;
             pkt[i] = nullptr;
+            fifoHead[i] = 0;
+            fifoCount[i] = 0;
         }
 
         inChan.assign(static_cast<std::size_t>(ports), nullptr);
@@ -223,6 +233,32 @@ struct RouterCore
     {
         return bitops::maskTest(activeMask, s);
     }
+
+    /** @name Slot FIFOs (capacity bounded by credits, unchecked) */
+    ///@{
+    int fifoSize(int s) const { return fifoCount[s]; }
+
+    const Flit &
+    fifoFront(int s) const
+    {
+        return fifoFlits[s * fifoCap + fifoHead[s]];
+    }
+
+    void
+    fifoPush(int s, const Flit &f)
+    {
+        fifoFlits[s * fifoCap + ((fifoHead[s] + fifoCount[s]) &
+                                 (fifoCap - 1))] = f;
+        ++fifoCount[s];
+    }
+
+    void
+    fifoPop(int s)
+    {
+        fifoHead[s] = (fifoHead[s] + 1) & (fifoCap - 1);
+        --fifoCount[s];
+    }
+    ///@}
 
     /** SA candidate mask of output port @p p. */
     std::uint64_t *
@@ -280,7 +316,6 @@ struct RouterCore
         auto addr = reinterpret_cast<std::uintptr_t>(creditStore_.data());
         int *base = creditStore_.data() +
                     (64 - addr % 64) % 64 / sizeof(int);
-        creditBase_ = base;
         for (std::size_t p = 0; p < outputs.size(); ++p) {
             Output &op = outputs[p];
             op.credits = base + p * creditRowInts_;
@@ -290,10 +325,9 @@ struct RouterCore
     }
 
     /**
-     * Steady-state memory footprint of the SoA arrays, from container
-     * capacities: per-slot FIFO storage, the packed hot buffer (slot
-     * arrays + request bitmasks), and the packed per-output credit
-     * buffer. Everything here is sized once in init() /
+     * Steady-state memory footprint of the SoA arrays: the packed FIFO
+     * flit store, the packed hot buffer (slot arrays, FIFO cursors,
+     * request bitmasks), and the packed per-output credit buffer. Everything here is sized once in init() /
      * finalizeWiring(), so the value is constant after wiring — the
      * sizing contract tests pin it against the layout formulas.
      */
@@ -301,32 +335,13 @@ struct RouterCore
     footprintBytes() const
     {
         std::uint64_t b = 0;
-        b += fifo.capacity() * sizeof(RingBuffer<Flit>);
-        for (const auto &f : fifo)
-            b += static_cast<std::uint64_t>(f.capacity()) * sizeof(Flit);
+        b += static_cast<std::uint64_t>(total) *
+             static_cast<std::uint64_t>(fifoCap) * sizeof(Flit);
         b += hotWords_ * sizeof(std::uint64_t);
         b += creditInts_ * sizeof(int);
         b += inChan.capacity() * sizeof(Channel *);
         b += outputs.capacity() * sizeof(Output);
         return b;
-    }
-
-    /** Pull the step working set toward the cache one active-list
-     *  entry ahead of the step call (§6g): the leading request-mask
-     *  lines of the packed hot buffer (the hardware prefetcher
-     *  streams the rest of the contiguous buffer), the packed credit
-     *  rows, and the FIFO directory. */
-    void
-    prefetchStep() const
-    {
-        if (activeMask) {
-            bitops::prefetch(activeMask);
-            bitops::prefetch(saReqMask);
-        }
-        if (creditBase_)
-            bitops::prefetch(creditBase_);
-        if (fifoBase_)
-            bitops::prefetch(fifoBase_);
     }
 
     /** Bytes moveToArena() will carve (each section 64-B aligned). */
@@ -354,10 +369,8 @@ struct RouterCore
             auto *nf = reinterpret_cast<Flit *>(
                 arena.alloc(fifoStore_.size() * sizeof(Flit)));
             if (nf != nullptr) {
-                std::size_t cap = fifoStore_.size() / fifo.size();
-                for (std::size_t i = 0; i < fifo.size(); ++i)
-                    fifo[i].moveStorageTo(nf + i * cap);
-                fifoBase_ = nf;
+                std::copy(fifoStore_.begin(), fifoStore_.end(), nf);
+                fifoFlits = nf;
                 fifoStore_ = std::vector<Flit>();
             }
         }
@@ -387,22 +400,23 @@ struct RouterCore
                 rebase(outVc);
                 rebase(vcLo);
                 rebase(vcHi);
+                rebase(fifoHead);
+                rebase(fifoCount);
                 rebase(saGrants);
                 rebase(saGrantOut);
                 hotStore_ = std::vector<std::uint64_t>();
             }
         }
-        if (!creditStore_.empty() && creditBase_ != nullptr) {
+        if (!creditStore_.empty()) {
             auto *nc = reinterpret_cast<int *>(
                 arena.alloc(creditInts_ * sizeof(int)));
             if (nc != nullptr) {
-                std::memcpy(nc, creditBase_,
+                std::memcpy(nc, outputs[0].credits,
                             static_cast<std::size_t>(ports) *
                                 creditRowInts_ * sizeof(int));
                 for (std::size_t p = 0; p < outputs.size(); ++p)
                     if (outputs[p].credits != nullptr)
                         outputs[p].credits = nc + p * creditRowInts_;
-                creditBase_ = nc;
                 creditStore_ = std::vector<int>();
             }
         }
@@ -412,9 +426,8 @@ struct RouterCore
     void
     refreshHead(int s)
     {
-        auto i = static_cast<std::size_t>(s);
-        headArrive[i] =
-            fifo[i].empty() ? CYCLE_NEVER : fifo[i].front().arrivedAt;
+        headArrive[s] =
+            fifoCount[s] == 0 ? CYCLE_NEVER : fifoFront(s).arrivedAt;
     }
 
   private:
@@ -435,9 +448,8 @@ struct RouterCore
         return hotStore_.data() + (64 - addr % 64) % 64 / sizeof(std::uint64_t);
     }
 
-    /** Packed backing storage for all slot FIFOs (slot i at
-     *  [i*cap, (i+1)*cap)); counted in footprintBytes() through the
-     *  bound per-slot capacities. */
+    /** Self-owned backing storage for all slot FIFOs (fifoFlits),
+     *  released by moveToArena(). */
     std::vector<Flit> fifoStore_;
     /** Backing storage of the aligned hot sections (+1 line of
      *  alignment slack). */
@@ -447,8 +459,6 @@ struct RouterCore
     std::size_t creditRowInts_ = 0; ///< ints per port row
     std::size_t hotWords_ = 0;   ///< hot-buffer size (survives a move)
     std::size_t creditInts_ = 0; ///< credit-buffer size (ditto)
-    Flit *fifoBase_ = nullptr;   ///< packed FIFO storage (prefetch)
-    int *creditBase_ = nullptr;  ///< aligned credit rows (prefetch)
 };
 
 } // namespace hnoc

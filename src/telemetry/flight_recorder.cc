@@ -64,7 +64,11 @@ FlightRecorder::snapshot(Cycle last_cycles) const
     for (std::uint64_t i = first; i < next_; ++i)
         out.push_back(ring_[static_cast<std::size_t>(i) & mask_]);
     if (last_cycles > 0) {
-        Cycle newest = out.back().t;
+        // Not out.back(): a credit_in is recorded when its port pulls
+        // it, stamped with its earlier due cycle.
+        Cycle newest = 0;
+        for (const Event &e : out)
+            newest = std::max(newest, e.t);
         Cycle cutoff = newest > last_cycles ? newest - last_cycles : 0;
         out.erase(std::remove_if(out.begin(), out.end(),
                                  [cutoff](const Event &e) {

@@ -39,7 +39,7 @@ enum class FrKind : std::uint8_t
     VaGrant,     ///< VC allocation succeeded (router, in port, in vc)
     VaDeny,      ///< VC allocation failed (router, in port, in vc)
     CreditStall, ///< SA request blocked on zero credits (router, out port, vc)
-    CreditIn,    ///< credit received for (router, out port, vc)
+    CreditIn,    ///< credit pulled for (router, out port, vc); t = due
     CreditOut,   ///< credit returned upstream from (router, in port, vc)
     Inject,      ///< packet entered a source queue (router = src node)
     Eject,       ///< packet fully delivered (router = dst node)
@@ -108,15 +108,18 @@ class FlightRecorder
     void clear();
 
     /**
-     * Copy out the held events oldest → newest. When @p last_cycles is
-     * non-zero only events with t > newest.t − last_cycles are kept.
+     * Copy out the held events in record order. When @p last_cycles
+     * is non-zero only events with t ≥ newest − last_cycles are kept,
+     * where newest is the largest t held. Record order is time order
+     * except for CreditIn, which carries the credit's due cycle but
+     * is recorded when the consuming port pulls it — possibly later.
      */
     std::vector<Event> snapshot(Cycle last_cycles = 0) const;
 
     /**
      * Emit the `flight_recorder` postmortem section: capacity /
      * recorded / overwritten bookkeeping plus the event array
-     * (oldest → newest, optionally clipped to the last @p last_cycles
+     * (record order, optionally clipped to the last @p last_cycles
      * cycles of history).
      */
     void writeJson(JsonWriter &w, Cycle last_cycles = 0) const;

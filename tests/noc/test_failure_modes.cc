@@ -35,6 +35,39 @@ TEST(FailureModes, MisSizedOverridesFatal)
     EXPECT_DEATH({ Network net2(cfg2); }, "routerWidthBits size");
 }
 
+TEST(FailureModes, ZeroDelayChannelsFatal)
+{
+    // Blocked stepping and pulled credits both need every channel
+    // delay >= 1 cycle; pipelineStages 0 makes the inter-router flit
+    // delay pipelineStages - 1 + linkLatency zero.
+    NetworkConfig cfg = makeLayoutConfig(LayoutKind::Baseline);
+    cfg.pipelineStages = 0;
+    EXPECT_DEATH({ Network net(cfg); }, "pipelineStages 0 < 1");
+
+    NetworkConfig cfg2 = makeLayoutConfig(LayoutKind::Baseline);
+    cfg2.linkLatency = 0;
+    EXPECT_DEATH({ Network net(cfg2); }, "linkLatency 0 < 1");
+}
+
+TEST(FailureModes, NonPositiveSizesFatal)
+{
+    // Each of these is a divisor in the topology or flit math
+    // (SIGFPE or NaN results if it reached the build).
+    auto rejects = [](auto set, const char *msg) {
+        NetworkConfig cfg = makeLayoutConfig(LayoutKind::Baseline);
+        set(cfg);
+        EXPECT_DEATH({ Network net(cfg); }, msg);
+    };
+    rejects([](NetworkConfig &c) { c.radixX = 0; }, "radixX 0 < 1");
+    rejects([](NetworkConfig &c) { c.radixY = -2; }, "radixY -2 < 1");
+    rejects([](NetworkConfig &c) { c.flitWidthBits = 0; },
+            "flitWidthBits 0 < 1");
+    rejects([](NetworkConfig &c) { c.concentration = 0; },
+            "concentration 0 < 1");
+    rejects([](NetworkConfig &c) { c.dataPacketBits = 0; },
+            "dataPacketBits 0 < 1");
+}
+
 TEST(FailureModes, TorusWithOneVcFatal)
 {
     NetworkConfig cfg = makeLayoutConfig(LayoutKind::Baseline);

@@ -178,30 +178,28 @@ TEST(ZeroAlloc, SingleTileBlocksAreAllocationFree)
 
 TEST(ZeroAlloc, ActiveListChurnIsAllocationFree)
 {
-    // Direct contract on the list itself: once reserve() has run,
-    // arbitrary wake/merge/compact churn never touches the heap.
+    // Direct contract on the list itself: once members are registered,
+    // arbitrary insert/erase/visit churn never touches the heap.
     ActiveList list;
-    list.reserve(/*id_space=*/64, /*max_members=*/64);
-    std::uint8_t busy[64] = {};
+    for (std::uint32_t i = 0; i < 64; ++i)
+        list.add(i);
 
     g_allocs.store(0);
     g_counting.store(true);
     for (int round = 0; round < 200; ++round) {
-        for (std::uint32_t i = 0; i < 64; ++i) {
-            if ((i + round) % 3 == 0) {
-                busy[i] = 1;
-                list.wake(i);
-            }
-        }
+        for (std::uint32_t i = 0; i < 64; ++i)
+            if ((i + round) % 3 == 0)
+                list.insert(i);
         std::uint32_t prev = 0;
         bool first = true;
-        list.forEachActive(busy, [&](std::uint32_t id) {
-            if (!first)
+        list.forEachActive([&](std::uint32_t id) {
+            if (!first) {
                 EXPECT_LT(prev, id); // canonical ascending order
+            }
             prev = id;
             first = false;
             if (id % 2 == static_cast<std::uint32_t>(round % 2))
-                busy[id] = 0; // idles compact out next scan
+                list.erase(id);
         });
     }
     g_counting.store(false);
@@ -301,7 +299,7 @@ TEST(Footprint, ArenaMovePreservesStateAndAlignment)
     core.outputs[0].credits[2] = 7; // sentinel surviving the move
     hnoc::Flit f;
     f.seq = 42;
-    core.fifo[3].push_back(f);
+    core.fifoPush(3, f);
     std::uint64_t before = core.footprintBytes();
     // Capture the quote before moving: arenaBytes() reports what a
     // move *would* carve, and the packed-FIFO section transfers
@@ -322,8 +320,8 @@ TEST(Footprint, ArenaMovePreservesStateAndAlignment)
     EXPECT_TRUE(lineAligned(core.outputs[0].credits));
     EXPECT_EQ(core.outputs[0].credits[2], 7);
     EXPECT_EQ(core.outputs[1].credits[3], 4); // initDepth intact
-    ASSERT_EQ(core.fifo[3].size(), 1u);
-    EXPECT_EQ(core.fifo[3].front().seq, 42);
+    ASSERT_EQ(core.fifoSize(3), 1);
+    EXPECT_EQ(core.fifoFront(3).seq, 42);
     EXPECT_EQ(core.footprintBytes(), before);
     // Every section landed inside the reserved region: the bump
     // cursor advanced (no section fell back to self-owned storage)

@@ -79,6 +79,31 @@ TEST(FlightRecorder, SnapshotClipsToLastCycles)
     EXPECT_EQ(fr.snapshot(0).size(), 50u);
 }
 
+TEST(FlightRecorder, LatePulledCreditDoesNotWidenTheClip)
+{
+    // A port pulls its credits only when it next has an SA candidate,
+    // so a credit_in stamped with its due cycle can be recorded after
+    // much newer events. The clip window still ends at the newest t.
+    FlightRecorder fr(64);
+    for (int t = 100; t < 150; ++t)
+        fr.record(FrKind::FlitIn, static_cast<Cycle>(t), 0, 0, 0);
+    fr.record(FrKind::CreditIn, 20, 0, 1, 0);
+
+    std::vector<FlightRecorder::Event> tail = fr.snapshot(10);
+    ASSERT_EQ(tail.size(), 11u);
+    EXPECT_EQ(tail.front().t, 139u);
+    EXPECT_EQ(tail.back().t, 149u);
+    for (const FlightRecorder::Event &e : tail)
+        EXPECT_EQ(e.kind, static_cast<std::uint8_t>(FrKind::FlitIn));
+
+    // A window that reaches back to it keeps the late event, in record
+    // order (last).
+    std::vector<FlightRecorder::Event> all = fr.snapshot(200);
+    ASSERT_EQ(all.size(), 51u);
+    EXPECT_EQ(all.back().kind, static_cast<std::uint8_t>(FrKind::CreditIn));
+    EXPECT_EQ(all.back().t, 20u);
+}
+
 TEST(FlightRecorder, ClearDropsHistory)
 {
     FlightRecorder fr(8);
