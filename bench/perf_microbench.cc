@@ -239,9 +239,6 @@ profiledStepLoad(benchmark::State &state, LayoutKind kind,
     share("pct_switch_allocate", prof.ns(ProfPhase::SwitchAllocate));
     share("pct_ni_inject", prof.ns(ProfPhase::NiInject));
     share("pct_scan_overhead", prof.unattributedNs());
-    if (prof.numBlocks() > 0)
-        state.counters["bytes_streamed_per_cycle"] =
-            benchmark::Counter(prof.bytesStreamedPerCycle());
     state.counters["visits_per_cycle_sa"] = benchmark::Counter(
         static_cast<double>(prof.visits(ProfPhase::SwitchAllocate)) /
         static_cast<double>(prof.cycles() ? prof.cycles() : 1));

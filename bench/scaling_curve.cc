@@ -166,9 +166,6 @@ scalingPoint(benchmark::State &state, const NetworkConfig &cfg,
             benchmark::Counter(pct(ProfPhase::SwitchAllocate));
         state.counters["pct_scan_overhead"] = benchmark::Counter(
             100.0 * static_cast<double>(prof.unattributedNs()) / total);
-        if (prof.numBlocks() > 0)
-            state.counters["bytes_streamed_per_cycle"] =
-                benchmark::Counter(prof.bytesStreamedPerCycle());
     }
 }
 

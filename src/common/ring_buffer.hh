@@ -47,28 +47,9 @@ class RingBuffer
     {
         cap_ = roundUpPow2(capacity < 1 ? 1 : capacity);
         buf_ = std::make_unique<T[]>(cap_);
-        ptr_ = buf_.get();
         head_ = 0;
         count_ = 0;
         growable_ = growable;
-    }
-
-    /**
-     * Move the live contents into caller-owned @p storage of the same
-     * capacity (elements keep their ring positions, so head/count are
-     * preserved) and bind to it; the previously owned storage is
-     * released and the buffer becomes fixed-capacity.
-     */
-    void
-    moveStorageTo(T *storage)
-    {
-        for (std::size_t i = 0; i < count_; ++i) {
-            std::size_t s = (head_ + i) & (cap_ - 1);
-            storage[s] = std::move(ptr_[s]);
-        }
-        buf_.reset();
-        ptr_ = storage;
-        growable_ = false;
     }
 
     bool empty() const { return count_ == 0; }
@@ -84,20 +65,20 @@ class RingBuffer
                 fatal("ring buffer overflow (fixed capacity %zu)", cap_);
             grow();
         }
-        ptr_[(head_ + count_) & (cap_ - 1)] = v;
+        buf_[(head_ + count_) & (cap_ - 1)] = v;
         ++count_;
     }
 
     T &
     front()
     {
-        return ptr_[head_];
+        return buf_[head_];
     }
 
     const T &
     front() const
     {
-        return ptr_[head_];
+        return buf_[head_];
     }
 
     void
@@ -111,7 +92,7 @@ class RingBuffer
     const T &
     operator[](std::size_t i) const
     {
-        return ptr_[(head_ + i) & (cap_ - 1)];
+        return buf_[(head_ + i) & (cap_ - 1)];
     }
 
     void
@@ -137,15 +118,13 @@ class RingBuffer
         std::size_t new_cap = cap_ ? cap_ * 2 : 1;
         auto next = std::make_unique<T[]>(new_cap);
         for (std::size_t i = 0; i < count_; ++i)
-            next[i] = std::move(ptr_[(head_ + i) & (cap_ - 1)]);
+            next[i] = std::move(buf_[(head_ + i) & (cap_ - 1)]);
         buf_ = std::move(next);
-        ptr_ = buf_.get();
         cap_ = new_cap;
         head_ = 0;
     }
 
-    std::unique_ptr<T[]> buf_; ///< owned storage (null when bound)
-    T *ptr_ = nullptr;         ///< element base (owned or bound)
+    std::unique_ptr<T[]> buf_;
     std::size_t cap_ = 0;
     std::size_t head_ = 0;
     std::size_t count_ = 0;

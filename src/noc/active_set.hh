@@ -3,7 +3,7 @@
  * Active-set scheduling hooks shared by routers, channels, and NIs.
  *
  * Each component owns an ActivitySlot bound to one ActiveList — the
- * set of busy components of its kind in its spatial block — and flips
+ * set of busy components of its kind — and flips
  * its own membership on its idle/busy transitions:
  *
  *  - a channel is busy while its flit pipe is non-empty (credits are
@@ -20,8 +20,8 @@
  * side of an event (flit send, packet enqueue) marking the consumer's
  * slot busy before the consumer's next scan.
  *
- * Dense active lists (§6g): an ActiveList is one bitmap over a
- * block-local dense index. Members register at wiring time in
+ * Dense active lists: an ActiveList is one bitmap over a dense local
+ * index. Members register at wiring time in
  * ascending global id, so local order is global order and a bitmap
  * walk visits members in the exact ascending-id order of the
  * exhaustive loop — what bit-identity of the simulation depends on.

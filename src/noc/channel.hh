@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/hot_arena.hh"
 #include "common/logging.hh"
 #include "common/ring_buffer.hh"
 #include "noc/active_set.hh"
@@ -154,31 +153,6 @@ class Channel
 
     /** No flit in flight (queued credits never make a channel busy). */
     bool idle() const { return flitPipe_.empty(); }
-
-    /** Bytes moveToArena() will carve (each pipe 64-B aligned). */
-    std::size_t
-    arenaBytes() const
-    {
-        auto r64 = [](std::size_t b) { return (b + 63) / 64 * 64; };
-        return r64(flitPipe_.capacity() * sizeof(TimedFlit)) +
-               r64(creditPipe_.capacity() * sizeof(TimedCredit));
-    }
-
-    /** Relocate both pipes' storage into @p arena (§6g), preserving
-     *  in-flight contents. Exhaustion keeps the self-owned storage —
-     *  placement is a performance property only. */
-    void
-    moveToArena(HotArena &arena)
-    {
-        auto *nf = reinterpret_cast<TimedFlit *>(
-            arena.alloc(flitPipe_.capacity() * sizeof(TimedFlit)));
-        if (nf != nullptr)
-            flitPipe_.moveStorageTo(nf);
-        auto *nc = reinterpret_cast<TimedCredit *>(
-            arena.alloc(creditPipe_.capacity() * sizeof(TimedCredit)));
-        if (nc != nullptr)
-            creditPipe_.moveStorageTo(nc);
-    }
 
     /** Join @p list (at local index @p local) as a flit-delivery
      *  member; a channel is a member while its flit pipe is busy. */

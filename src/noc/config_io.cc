@@ -1,5 +1,7 @@
 #include "noc/config_io.hh"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -111,16 +113,67 @@ joinInts(const std::vector<T> &v)
     return out;
 }
 
+/** Parse all of @p val as a T: no trailing characters, in range. */
+template <typename T>
+bool
+parseWhole(const std::string &val, T &out)
+{
+    const char *end = val.data() + val.size();
+    auto [ptr, ec] = std::from_chars(val.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+int
+parseInt(const std::string &key, const std::string &val)
+{
+    int v = 0;
+    if (!parseWhole(val, v))
+        fatal("config: key '%s': '%s' is not an int", key.c_str(),
+              val.c_str());
+    return v;
+}
+
+std::uint64_t
+parseU64(const std::string &key, const std::string &val)
+{
+    std::uint64_t v = 0;
+    if (!parseWhole(val, v))
+        fatal("config: key '%s': '%s' is not an unsigned 64-bit integer",
+              key.c_str(), val.c_str());
+    return v;
+}
+
+double
+parseDouble(const std::string &key, const std::string &val)
+{
+    double v = 0.0;
+    if (!parseWhole(val, v) || !std::isfinite(v))
+        fatal("config: key '%s': '%s' is not a finite number", key.c_str(),
+              val.c_str());
+    return v;
+}
+
 std::vector<int>
-splitInts(const std::string &s)
+splitInts(const std::string &key, const std::string &s)
 {
     std::vector<int> out;
     std::stringstream in(s);
     std::string item;
     while (std::getline(in, item, ','))
         if (!item.empty())
-            out.push_back(std::stoi(item));
+            out.push_back(parseInt(key, item));
     return out;
+}
+
+SaPolicy
+saPolicyFromName(const std::string &key, const std::string &s)
+{
+    if (s == "round-robin")
+        return SaPolicy::RoundRobin;
+    if (s == "oldest-first")
+        return SaPolicy::OldestFirst;
+    fatal("config: key '%s': '%s' is not round-robin or oldest-first",
+          key.c_str(), s.c_str());
 }
 
 } // namespace
@@ -158,7 +211,6 @@ configToString(const NetworkConfig &c)
                                                 : "round-robin")
         << '\n';
     out << "always_step=" << (c.alwaysStep ? 1 : 0) << '\n';
-    out << "block_tiles=" << c.blockTiles << '\n';
     out << "pipeline_stages=" << c.pipelineStages << '\n';
     out << "link_latency=" << c.linkLatency << '\n';
     out << "clock_ghz=" << c.clockGHz << '\n';
@@ -185,54 +237,51 @@ configFromString(const std::string &text)
         else if (key == "topology")
             c.topology = topologyFromName(val);
         else if (key == "radix_x")
-            c.radixX = std::stoi(val);
+            c.radixX = parseInt(key, val);
         else if (key == "radix_y")
-            c.radixY = std::stoi(val);
+            c.radixY = parseInt(key, val);
         else if (key == "concentration")
-            c.concentration = std::stoi(val);
+            c.concentration = parseInt(key, val);
         else if (key == "flit_bits")
-            c.flitWidthBits = std::stoi(val);
+            c.flitWidthBits = parseInt(key, val);
         else if (key == "data_packet_bits")
-            c.dataPacketBits = std::stoi(val);
+            c.dataPacketBits = parseInt(key, val);
         else if (key == "buffer_depth")
-            c.bufferDepth = std::stoi(val);
+            c.bufferDepth = parseInt(key, val);
         else if (key == "default_vcs")
-            c.defaultVcs = std::stoi(val);
+            c.defaultVcs = parseInt(key, val);
         else if (key == "default_width_bits")
-            c.defaultWidthBits = std::stoi(val);
+            c.defaultWidthBits = parseInt(key, val);
         else if (key == "router_vcs")
-            c.routerVcs = splitInts(val);
+            c.routerVcs = splitInts(key, val);
         else if (key == "router_width_bits")
-            c.routerWidthBits = splitInts(val);
+            c.routerWidthBits = splitInts(key, val);
         else if (key == "link_mode")
             c.linkWidthMode = linkModeFromName(val);
         else if (key == "uniform_link_bits")
-            c.uniformLinkBits = std::stoi(val);
+            c.uniformLinkBits = parseInt(key, val);
         else if (key == "band_wide_links")
-            c.bandWideLinks = std::stoi(val);
+            c.bandWideLinks = parseInt(key, val);
         else if (key == "routing")
             c.routing = routingFromName(val);
         else if (key == "table_nodes") {
             c.tableRoutedNodes.clear();
-            for (int n : splitInts(val))
+            for (int n : splitInts(key, val))
                 c.tableRoutedNodes.push_back(n);
         } else if (key == "escape_threshold")
-            c.escapeThreshold = std::stoi(val);
+            c.escapeThreshold = parseInt(key, val);
         else if (key == "intra_packet_pairing")
-            c.intraPacketPairing = std::stoi(val) != 0;
+            c.intraPacketPairing = parseInt(key, val) != 0;
         else if (key == "sa_policy")
-            c.saPolicy = val == "oldest-first" ? SaPolicy::OldestFirst
-                                               : SaPolicy::RoundRobin;
+            c.saPolicy = saPolicyFromName(key, val);
         else if (key == "always_step")
-            c.alwaysStep = std::stoi(val) != 0;
-        else if (key == "block_tiles")
-            c.blockTiles = std::stoi(val);
+            c.alwaysStep = parseInt(key, val) != 0;
         else if (key == "pipeline_stages")
-            c.pipelineStages = std::stoi(val);
+            c.pipelineStages = parseInt(key, val);
         else if (key == "link_latency")
-            c.linkLatency = std::stoi(val);
+            c.linkLatency = parseInt(key, val);
         else if (key == "clock_ghz")
-            c.clockGHz = std::stod(val);
+            c.clockGHz = parseDouble(key, val);
         else
             fatal("config: unknown key '%s'", key.c_str());
     }
@@ -285,45 +334,45 @@ simOptionsFromString(const std::string &text)
         std::string val = line.substr(eq + 1);
 
         if (key == "injection_rate")
-            o.injectionRate = std::stod(val);
+            o.injectionRate = parseDouble(key, val);
         else if (key == "warmup_cycles")
-            o.warmupCycles = std::stoull(val);
+            o.warmupCycles = parseU64(key, val);
         else if (key == "measure_cycles")
-            o.measureCycles = std::stoull(val);
+            o.measureCycles = parseU64(key, val);
         else if (key == "drain_cycles")
-            o.drainCycles = std::stoull(val);
+            o.drainCycles = parseU64(key, val);
         else if (key == "seed")
-            o.seed = std::stoull(val);
+            o.seed = parseU64(key, val);
         else if (key == "control_fraction")
-            o.controlFraction = std::stod(val);
+            o.controlFraction = parseDouble(key, val);
         else if (key == "collect_metrics")
-            o.collectMetrics = std::stoi(val) != 0;
+            o.collectMetrics = parseInt(key, val) != 0;
         else if (key == "telemetry_epoch")
-            o.telemetryEpoch = std::stoull(val);
+            o.telemetryEpoch = parseU64(key, val);
         else if (key == "control_mode")
             o.control.mode = simControlModeFromName(val);
         else if (key == "min_warmup_cycles")
-            o.control.minWarmupCycles = std::stoull(val);
+            o.control.minWarmupCycles = parseU64(key, val);
         else if (key == "warmup_epochs")
-            o.control.warmupEpochs = std::stoi(val);
+            o.control.warmupEpochs = parseInt(key, val);
         else if (key == "warmup_tolerance")
-            o.control.warmupTolerance = std::stod(val);
+            o.control.warmupTolerance = parseDouble(key, val);
         else if (key == "ci_target")
-            o.control.ciTarget = std::stod(val);
+            o.control.ciTarget = parseDouble(key, val);
         else if (key == "ci_confidence")
-            o.control.ciConfidence = std::stod(val);
+            o.control.ciConfidence = parseDouble(key, val);
         else if (key == "min_batches")
-            o.control.minBatches = std::stoi(val);
+            o.control.minBatches = parseInt(key, val);
         else if (key == "epochs_per_batch")
-            o.control.epochsPerBatch = std::stoi(val);
+            o.control.epochsPerBatch = parseInt(key, val);
         else if (key == "min_measure_cycles")
-            o.control.minMeasureCycles = std::stoull(val);
+            o.control.minMeasureCycles = parseU64(key, val);
         else if (key == "sat_epochs")
-            o.control.satEpochs = std::stoi(val);
+            o.control.satEpochs = parseInt(key, val);
         else if (key == "sat_depth_per_node")
-            o.control.satDepthPerNode = std::stod(val);
+            o.control.satDepthPerNode = parseDouble(key, val);
         else if (key == "sat_growth_per_node")
-            o.control.satGrowthPerNode = std::stod(val);
+            o.control.satGrowthPerNode = parseDouble(key, val);
         else
             fatal("sim options: unknown key '%s'", key.c_str());
     }

@@ -1,7 +1,6 @@
 #include "noc/network.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
@@ -12,32 +11,6 @@
 
 namespace hnoc
 {
-
-namespace
-{
-
-/** HNOC_ALWAYS_STEP=1 forces the exhaustive per-cycle loop. */
-bool
-alwaysStepFromEnv()
-{
-    const char *v = std::getenv("HNOC_ALWAYS_STEP");
-    return v && *v && !(v[0] == '0' && v[1] == '\0');
-}
-
-/** HNOC_BLOCK_TILES=<n> overrides the block-size knob (0 = config). */
-int
-blockTilesFromEnv()
-{
-    const char *v = std::getenv("HNOC_BLOCK_TILES");
-    return v && *v ? std::atoi(v) : 0;
-}
-
-/** Per-block L2 working-set budget for block auto-sizing. Half a
- *  typical 1-2 MB private L2: the block's hot state must share the
- *  cache with packets, scratch, and the next block's prefetches. */
-constexpr std::uint64_t kBlockL2Bytes = 768 * 1024;
-
-} // namespace
 
 const NetworkConfig &
 Network::validated(const NetworkConfig &config)
@@ -56,20 +29,19 @@ Network::validated(const NetworkConfig &config)
     for (const auto &sz : sizes)
         if (sz.value < 1)
             fatal("%s %d < 1", sz.name, sz.value);
-    // The blocked step order delivers cross-block traffic in per-block
-    // passes, and credits are pulled by their driver (DESIGN.md §6i):
-    // both rely on nothing sent at cycle t being deliverable at t, so
-    // every channel delay must be at least one cycle. Flit delays are
-    // linkLatency (injection) and pipelineStages - 1 + linkLatency;
-    // every credit delay is linkLatency.
+    // Credits are pulled by their driver (DESIGN.md §6i), which relies
+    // on nothing sent at cycle t being due at t: a driver that reads
+    // its credits before the receiver returns one at the same cycle
+    // must see exactly what the exhaustive loop sees. So every channel
+    // delay must be at least one cycle. Flit delays are linkLatency
+    // (injection) and pipelineStages - 1 + linkLatency; every credit
+    // delay is linkLatency.
     if (config.linkLatency < 1)
         fatal("linkLatency %d < 1: every channel delay must be >= 1 "
               "cycle", config.linkLatency);
     if (config.pipelineStages < 1)
         fatal("pipelineStages %d < 1: every channel delay must be >= 1 "
               "cycle", config.pipelineStages);
-    if (config.blockTiles < 0)
-        fatal("blockTiles %d < 0 (0 means auto-size)", config.blockTiles);
     return config;
 }
 
@@ -97,36 +69,23 @@ Network::Network(const NetworkConfig &config)
         clockGHz_ = FrequencyModel::networkFrequencyGHz(max_vcs);
     }
 
-    alwaysStep_ = config_.alwaysStep || alwaysStepFromEnv();
-
     build();
-    setupBlocks();
-    packHotArena();
 
-    // Enlist every component in its block's active list. Ids are
-    // registered in ascending order, so each list's dense local order
-    // is the canonical global order.
+    // Enlist every component in its active list. Ids are registered
+    // in ascending order, so each list's dense local order is the
+    // canonical global order.
     for (std::size_t i = 0; i < ends_.size(); ++i) {
-        const ChannelEnds &e = ends_[i];
-        ActiveList &list =
-            e.sinkIsRouter ? blockFlitEnds_[static_cast<std::size_t>(
-                                 blockOf(e.sinkRouter))]
-                           : ejectEnds_;
-        e.chan->bindActivitySlot(&list,
-                                 list.add(static_cast<std::uint32_t>(i)));
-    }
-    for (std::size_t i = 0; i < routers_.size(); ++i) {
-        ActiveList &list = blockRouters_[static_cast<std::size_t>(
-            blockOf(static_cast<RouterId>(i)))];
-        routers_[i].bindActivitySlot(
+        ActiveList &list = ends_[i].sinkIsRouter ? flitEnds_ : ejectEnds_;
+        ends_[i].chan->bindActivitySlot(
             &list, list.add(static_cast<std::uint32_t>(i)));
     }
-    for (std::size_t i = 0; i < nis_.size(); ++i) {
-        ActiveList &list = blockNis_[static_cast<std::size_t>(
-            blockOf(topo_->routerOfNode(static_cast<NodeId>(i))))];
-        nis_[i]->bindActivitySlot(&list,
-                                  list.add(static_cast<std::uint32_t>(i)));
-    }
+    for (std::size_t i = 0; i < routers_.size(); ++i)
+        routers_[i].bindActivitySlot(
+            &activeRouters_,
+            activeRouters_.add(static_cast<std::uint32_t>(i)));
+    for (std::size_t i = 0; i < nis_.size(); ++i)
+        nis_[i]->bindActivitySlot(
+            &activeNis_, activeNis_.add(static_cast<std::uint32_t>(i)));
 }
 
 Network::~Network() = default;
@@ -153,7 +112,7 @@ Network::build()
     int inter_delay = (config_.pipelineStages - 1) + config_.linkLatency;
 
     // Routers live by value in one contiguous vector: the per-cycle
-    // step pass walks them in index (= block) order, so the object
+    // step pass walks them in index order, so the object
     // headers stream linearly instead of chasing per-router heap
     // pointers. reserve() pins the addresses before activity-slot
     // binding takes them.
@@ -240,79 +199,6 @@ Network::build()
     // counters into their aligned hot rows.
     for (auto &router : routers_)
         router.finalizeWiring();
-}
-
-void
-Network::setupBlocks()
-{
-    int n_routers = topo_->numRouters();
-
-    int tiles = blockTilesFromEnv();
-    if (tiles <= 0)
-        tiles = config_.blockTiles;
-    if (tiles <= 0) {
-        // Auto-size: fit one block's component state (routers +
-        // channels + NIs, measured from the real footprints) in the
-        // L2 budget, rounded down to whole mesh rows so blocks stay
-        // spatially contiguous.
-        std::uint64_t bytes = 0;
-        for (const auto &r : routers_)
-            bytes += r.footprintBytes();
-        for (const auto &c : channels_)
-            bytes += c->footprintBytes();
-        for (const auto &ni : nis_)
-            bytes += ni->footprintBytes();
-        std::uint64_t per_router =
-            std::max<std::uint64_t>(1, bytes /
-                static_cast<std::uint64_t>(n_routers));
-        tiles = static_cast<int>(
-            std::min<std::uint64_t>(static_cast<std::uint64_t>(n_routers),
-                                    kBlockL2Bytes / per_router));
-        int cols = topo_->gridCols();
-        if (tiles > cols)
-            tiles = tiles / cols * cols;
-        if (tiles < 1)
-            tiles = 1;
-    }
-    blockTiles_ = std::min(tiles, n_routers);
-    numBlocks_ = (n_routers + blockTiles_ - 1) / blockTiles_;
-
-    auto nb = static_cast<std::size_t>(numBlocks_);
-    blockFlitEnds_.resize(nb);
-    blockRouters_.resize(nb);
-    blockNis_.resize(nb);
-}
-
-void
-Network::packHotArena()
-{
-    std::size_t bytes = 0;
-    for (const auto &r : routers_)
-        bytes += r.coreArenaBytes();
-    for (const auto &c : channels_)
-        bytes += c->arenaBytes();
-    hotArena_.reserve(bytes);
-
-    // Carve in the blocked step loop's visit order (§6g): terminal
-    // ejection channels first (the global eject pass), then for each
-    // block its delivered channels followed by its routers, so the
-    // per-cycle stream walks the arena front to back.
-    for (const ChannelEnds &e : ends_)
-        if (!e.sinkIsRouter)
-            e.chan->moveToArena(hotArena_);
-    auto n_routers = static_cast<RouterId>(routers_.size());
-    for (int b = 0; b < numBlocks_; ++b) {
-        for (const ChannelEnds &e : ends_)
-            if (e.sinkIsRouter && blockOf(e.sinkRouter) == b)
-                e.chan->moveToArena(hotArena_);
-        auto lo = static_cast<RouterId>(b) *
-                  static_cast<RouterId>(blockTiles_);
-        RouterId hi = std::min(
-            lo + static_cast<RouterId>(blockTiles_), n_routers);
-        for (RouterId r = lo; r < hi; ++r)
-            routers_[static_cast<std::size_t>(r)].moveCoreToArena(
-                hotArena_);
-    }
 }
 
 Packet *
@@ -448,30 +334,6 @@ Network::attachProfiler(Profiler *prof)
     profiler_ = prof;
     for (auto &r : routers_)
         r.setProfiler(prof);
-    if (prof && !alwaysStep_) {
-        // Arm per-block attribution: each block's pass time plus its
-        // steady-state hot footprint (routers, channels keyed by the
-        // block that delivers their flits, attached NIs), from which
-        // reports derive bytes-streamed-per-cycle.
-        auto nb = static_cast<std::size_t>(numBlocks_);
-        prof->enableBlocks(nb);
-        std::vector<std::uint64_t> bytes(nb, 0);
-        for (std::size_t i = 0; i < routers_.size(); ++i)
-            bytes[static_cast<std::size_t>(
-                blockOf(static_cast<RouterId>(i)))] +=
-                routers_[i].footprintBytes();
-        for (const ChannelEnds &e : ends_) {
-            RouterId r = e.sinkIsRouter ? e.sinkRouter : e.driverRouter;
-            bytes[static_cast<std::size_t>(blockOf(r))] +=
-                e.chan->footprintBytes();
-        }
-        for (std::size_t i = 0; i < nis_.size(); ++i)
-            bytes[static_cast<std::size_t>(blockOf(
-                topo_->routerOfNode(static_cast<NodeId>(i))))] +=
-                nis_[i]->footprintBytes();
-        for (std::size_t b = 0; b < nb; ++b)
-            prof->setBlockBytes(b, bytes[b]);
-    }
 }
 
 std::unique_ptr<BlameCollector>
@@ -539,16 +401,12 @@ Network::memoryAudit() const
               freeList_.capacity() * sizeof(Packet *),
           packetArena_.size());
 
-    std::uint64_t lists = ejectEnds_.footprintBytes();
-    for (const auto *vec : {&blockFlitEnds_, &blockRouters_, &blockNis_})
-        for (const ActiveList &l : *vec)
-            lists += l.footprintBytes() + sizeof(ActiveList);
+    std::uint64_t lists = 0;
+    for (const ActiveList *l :
+         {&ejectEnds_, &flitEnds_, &activeRouters_, &activeNis_})
+        lists += l->footprintBytes();
     a.add("active_set", ends_.capacity() * sizeof(ChannelEnds) + lists,
           ends_.size() + routers_.size() + nis_.size());
-
-    if (hotArena_.reservedBytes() > 0)
-        a.add("hot_arena_pad",
-              hotArena_.reservedBytes() - hotArena_.used(), 1);
 
     if (telemetry_)
         a.add("metric_registry", telemetry_->footprintBytes(), 1);
@@ -858,7 +716,7 @@ Network::step()
         }
     };
 
-    if (alwaysStep_) {
+    if (config_.alwaysStep) {
         // Exhaustive phase-major reference loop: every channel end,
         // every router, every NI, in canonical index order.
         for (const ChannelEnds &e : ends_) {
@@ -878,51 +736,29 @@ Network::step()
                 ni->stepInject(now);
         }
     } else {
-        // Cache-blocked tile-major passes (§6g). Every channel delay
-        // is >= 1 cycle, so nothing sent this cycle becomes
-        // deliverable this cycle, and deliveries to distinct
-        // receivers commute — the per-receiver event order (one
-        // point-to-point channel per receiver, FIFO pipes) and the
-        // canonical node order of terminal ejections are what the
-        // results depend on, and both are preserved. See DESIGN.md
-        // §6g for the full bit-identity argument.
+        // Active-set pass: the same phases over busy components only.
+        // Terminal ejections run first, in canonical node order (flit
+        // consumption and delivery callbacks), then router-sink
+        // deliveries, routers and NIs, each in ascending id. Every
+        // channel delay is >= 1 cycle, so nothing sent this cycle is
+        // deliverable this cycle and delivering the ejection ends
+        // before the router-sink ends reorders nothing that the
+        // results depend on (DESIGN.md §6g).
         auto visit_end = [&](std::uint32_t i) { deliverFlitsOf(ends_[i]); };
-        // Eject pass first: terminal (NI-sink) ends in canonical node
-        // order — flit consumption and delivery callbacks.
         if (ejectEnds_.size() > 0) {
             ProfScope s(prof, ProfPhase::NiEject);
             ejectEnds_.forEachActive(visit_end);
         }
-        // Then per block: deliver the block's inbound flits, step its
-        // routers, inject from its NIs — touching each block's packed
-        // hot state once per cycle while it is cache-resident.
-        for (int b = 0; b < numBlocks_; ++b) {
-            auto bi = static_cast<std::size_t>(b);
-            ActiveList &fl = blockFlitEnds_[bi];
-            ActiveList &rl = blockRouters_[bi];
-            ActiveList &nl = blockNis_[bi];
-            if (fl.size() == 0 && rl.size() == 0 && nl.size() == 0)
-                continue;
-            std::chrono::steady_clock::time_point t0;
-            if (prof)
-                t0 = std::chrono::steady_clock::now();
-            {
-                ProfScope s(prof, ProfPhase::ChannelDelivery);
-                fl.forEachActive(visit_end);
-            }
-            rl.forEachActive([&](std::uint32_t i) { routers_[i].step(now); });
-            {
-                ProfScope s(prof, ProfPhase::NiInject);
-                nl.forEachActive(
-                    [&](std::uint32_t i) { nis_[i]->stepInject(now); });
-            }
-            if (prof)
-                prof->addBlock(
-                    bi, static_cast<std::uint64_t>(
-                            std::chrono::duration_cast<
-                                std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count()));
+        if (flitEnds_.size() > 0) {
+            ProfScope s(prof, ProfPhase::ChannelDelivery);
+            flitEnds_.forEachActive(visit_end);
+        }
+        activeRouters_.forEachActive(
+            [&](std::uint32_t i) { routers_[i].step(now); });
+        if (activeNis_.size() > 0) {
+            ProfScope s(prof, ProfPhase::NiInject);
+            activeNis_.forEachActive(
+                [&](std::uint32_t i) { nis_[i]->stepInject(now); });
         }
     }
 

@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/hot_arena.hh"
 #include "common/types.hh"
 #include "noc/channel.hh"
 #include "noc/flit.hh"
@@ -72,25 +71,6 @@ class Network
 
     /** Install the packet producer/consumer. */
     void setClient(NetworkClient *client) { client_ = client; }
-
-    /**
-     * @return true when the exhaustive per-cycle loop is in force
-     * (config alwaysStep or the HNOC_ALWAYS_STEP environment escape
-     * hatch) instead of active-set scheduling. Results are
-     * bit-identical either way; the escape hatch exists to prove it.
-     */
-    bool alwaysStep() const { return alwaysStep_; }
-
-    /**
-     * @return routers per spatial block of the cache-blocked step
-     * order (§6g), after resolving config.blockTiles, the
-     * HNOC_BLOCK_TILES environment override, and L2 auto-sizing.
-     * Results are bit-identical for every block size.
-     */
-    int blockTiles() const { return blockTiles_; }
-
-    /** @return block count of the cache-blocked step order. */
-    int numBlocks() const { return numBlocks_; }
 
     /** Install a flit-event observer on every router (nullptr clears). */
     void setObserver(NetworkObserver *observer);
@@ -306,54 +286,34 @@ class Network
     void build();
     Channel *makeChannel(int width_bits, int flit_delay, int credit_delay,
                          int credit_slots);
-    void setupBlocks();
-    void packHotArena();
     Packet *allocPacket();
     void freePacket(Packet *pkt);
-
-    /** Spatial block of router @p r (contiguous id ranges). */
-    int
-    blockOf(RouterId r) const
-    {
-        return r / blockTiles_;
-    }
 
     NetworkConfig config_;
     std::unique_ptr<Topology> topo_;
     std::unique_ptr<RoutingAlgorithm> routing_;
     double clockGHz_ = 2.2;
 
-    /** Contiguous, by value, in step (= block) order — the per-cycle
-     *  pass streams the object headers linearly (§6g). Addresses are
-     *  pinned by the build-time reserve(). */
+    /** Contiguous, by value, in step order — the per-cycle pass
+     *  streams the object headers linearly. Addresses are pinned by
+     *  the build-time reserve(). */
     std::vector<Router> routers_;
     std::vector<std::unique_ptr<NetworkInterface>> nis_;
     std::vector<std::unique_ptr<Channel>> channels_;
     std::vector<ChannelEnds> ends_;
     std::vector<Channel *> wideChannels_;
 
-    bool alwaysStep_ = false;
-
     /**
-     * Cache-blocked step order (§6g): routers partition into
-     * contiguous-id spatial blocks of blockTiles_ routers; each block
-     * owns bitmap active lists of the channel ends whose flits it
-     * delivers (keyed by sink router), its routers, and the NIs
-     * attached to its routers. Terminal ejection ends (NI sink) live
-     * in one global list scanned first each cycle in canonical order.
-     * Components flip their own membership via their ActivitySlot;
-     * the list vectors are sized once and never reallocate.
+     * Active-set step order: terminal ejection ends (NI sink), then
+     * router-sink channel ends, routers and NIs, each an ActiveList
+     * visited in canonical id order. Components flip their own
+     * membership via their ActivitySlot; the lists are sized once at
+     * wiring time and never reallocate.
      */
-    int blockTiles_ = 0;
-    int numBlocks_ = 1;
-
-    /** Block-ordered, huge-page-backed storage for router cores and
-     *  channel pipes (§6g); sized once by packHotArena(). */
-    HotArena hotArena_;
     ActiveList ejectEnds_;
-    std::vector<ActiveList> blockFlitEnds_;
-    std::vector<ActiveList> blockRouters_;
-    std::vector<ActiveList> blockNis_;
+    ActiveList flitEnds_;
+    ActiveList activeRouters_;
+    ActiveList activeNis_;
 
     NetworkClient *client_ = nullptr;
     NetworkObserver *observer_ = nullptr;

@@ -125,26 +125,16 @@ struct NetworkConfig
 
     /**
      * Force the exhaustive per-cycle loop instead of active-set
-     * scheduling (also switchable via the HNOC_ALWAYS_STEP
-     * environment variable). Results are bit-identical either way;
-     * this is the escape hatch for A/B-ing the scheduler.
+     * scheduling. Results are bit-identical either way; this is the
+     * reference the scheduler parity tests compare against.
      */
     bool alwaysStep = false;
 
-    /**
-     * Cache-blocked stepping: routers per spatial block for the
-     * tile-major step order (§6g). 0 (the default) auto-sizes blocks
-     * to fit a per-block working set in L2, rounded to whole mesh
-     * rows; values >= numRouters() collapse to one whole-chip block.
-     * Also switchable via the HNOC_BLOCK_TILES environment variable.
-     * Results are bit-identical for every block size.
-     */
-    int blockTiles = 0;
-
     /** Router pipeline depth in cycles (2-stage, §4). */
     int pipelineStages = 2;
-    /** Channel traversal latency in cycles (must be >= 1: same-cycle
-     *  delivery would break the blocked step order's determinism). */
+    /** Channel traversal latency in cycles (must be >= 1: credits are
+     *  pulled by their driver, which relies on nothing sent at cycle t
+     *  being due at t). */
     int linkLatency = 1;
 
     /** Network clock in GHz; <= 0 means "derive from the slowest

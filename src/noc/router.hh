@@ -85,12 +85,6 @@ class Router
     /** Run RC / VA / SA / ST for this cycle. */
     void step(Cycle now);
 
-    /** Bytes moveCoreToArena() will carve from the hot arena. */
-    std::size_t coreArenaBytes() const { return core_.arenaBytes(); }
-
-    /** Relocate the core's packed hot storage into @p arena (§6g). */
-    void moveCoreToArena(HotArena &arena) { core_.moveToArena(arena); }
-
     /**
      * @return true if stepping this cycle can have any effect. Exactly
      * the flit-holding condition: every pipeline stage requires a

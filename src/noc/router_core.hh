@@ -23,8 +23,7 @@
  * not separate vectors but raw pointers into one owned, 64-byte
  * aligned buffer, each section starting on its own cache line. A
  * cycle's RC/VA/SA work therefore streams one contiguous region per
- * router instead of a dozen scattered heap blocks — the unit the
- * cache-blocked Network step order is sized around. Each slot's input
+ * router instead of a dozen scattered heap blocks. Each slot's input
  * FIFO is a head/count cursor pair in that hot buffer over one
  * contiguous flit store (slot s owns flits [s*cap, (s+1)*cap)). Per-
  * output downstream credit counters are likewise packed into a second
@@ -39,14 +38,10 @@
 #ifndef HNOC_NOC_ROUTER_CORE_HH
 #define HNOC_NOC_ROUTER_CORE_HH
 
-#include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <type_traits>
 #include <vector>
 
 #include "common/bitops.hh"
-#include "common/hot_arena.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "noc/flit.hh"
@@ -182,7 +177,6 @@ struct RouterCore
         off += portSect;
 
         hotStore_.assign(off + kLineWords, 0);
-        hotWords_ = off + kLineWords;
         std::uint64_t *base = alignedBase();
         activeMask = base + offActive;
         rcMask = base + offRc;
@@ -310,15 +304,14 @@ struct RouterCore
             maxVcs = op.downVcs > maxVcs ? op.downVcs : maxVcs;
         if (maxVcs == 0)
             return;
-        creditRowInts_ = static_cast<std::size_t>((maxVcs + 15) / 16) * 16;
-        creditInts_ = static_cast<std::size_t>(ports) * creditRowInts_ + 16;
-        creditStore_.assign(creditInts_, 0);
+        auto row = static_cast<std::size_t>((maxVcs + 15) / 16) * 16;
+        creditStore_.assign(static_cast<std::size_t>(ports) * row + 16, 0);
         auto addr = reinterpret_cast<std::uintptr_t>(creditStore_.data());
         int *base = creditStore_.data() +
                     (64 - addr % 64) % 64 / sizeof(int);
         for (std::size_t p = 0; p < outputs.size(); ++p) {
             Output &op = outputs[p];
-            op.credits = base + p * creditRowInts_;
+            op.credits = base + p * row;
             for (int v = 0; v < op.downVcs; ++v)
                 op.credits[v] = op.initDepth;
         }
@@ -327,99 +320,21 @@ struct RouterCore
     /**
      * Steady-state memory footprint of the SoA arrays: the packed FIFO
      * flit store, the packed hot buffer (slot arrays, FIFO cursors,
-     * request bitmasks), and the packed per-output credit buffer. Everything here is sized once in init() /
-     * finalizeWiring(), so the value is constant after wiring — the
-     * sizing contract tests pin it against the layout formulas.
+     * request bitmasks), and the packed per-output credit buffer.
+     * Everything here is sized once in init() / finalizeWiring(), so
+     * the value is constant after wiring — the sizing contract tests
+     * pin it against the layout formulas.
      */
     std::uint64_t
     footprintBytes() const
     {
         std::uint64_t b = 0;
-        b += static_cast<std::uint64_t>(total) *
-             static_cast<std::uint64_t>(fifoCap) * sizeof(Flit);
-        b += hotWords_ * sizeof(std::uint64_t);
-        b += creditInts_ * sizeof(int);
+        b += fifoStore_.size() * sizeof(Flit);
+        b += hotStore_.size() * sizeof(std::uint64_t);
+        b += creditStore_.size() * sizeof(int);
         b += inChan.capacity() * sizeof(Channel *);
         b += outputs.capacity() * sizeof(Output);
         return b;
-    }
-
-    /** Bytes moveToArena() will carve (each section 64-B aligned). */
-    std::size_t
-    arenaBytes() const
-    {
-        auto r64 = [](std::size_t b) { return (b + 63) / 64 * 64; };
-        return r64(fifoStore_.size() * sizeof(Flit)) +
-               r64(hotWords_ * sizeof(std::uint64_t)) +
-               r64(creditInts_ * sizeof(int));
-    }
-
-    /**
-     * Relocate the packed FIFO, hot-section, and credit storage into
-     * @p arena (§6g): contents are copied verbatim, every pointer is
-     * re-based, and the self-owned vectors are released. Call after
-     * finalizeWiring() and before the first step. Exhaustion leaves
-     * the remaining sections self-owned — placement is a performance
-     * property only, so a partial move is still correct.
-     */
-    void
-    moveToArena(HotArena &arena)
-    {
-        if (!fifoStore_.empty()) {
-            auto *nf = reinterpret_cast<Flit *>(
-                arena.alloc(fifoStore_.size() * sizeof(Flit)));
-            if (nf != nullptr) {
-                std::copy(fifoStore_.begin(), fifoStore_.end(), nf);
-                fifoFlits = nf;
-                fifoStore_ = std::vector<Flit>();
-            }
-        }
-        if (!hotStore_.empty()) {
-            auto *nb = reinterpret_cast<std::uint64_t *>(
-                arena.alloc(hotWords_ * sizeof(std::uint64_t)));
-            if (nb != nullptr) {
-                std::uint64_t *ob = alignedBase();
-                std::memcpy(nb, ob,
-                            (hotWords_ - kLineWords) *
-                                sizeof(std::uint64_t));
-                auto rebase = [&](auto *&p) {
-                    using P = std::remove_reference_t<decltype(p)>;
-                    p = reinterpret_cast<P>(
-                        reinterpret_cast<char *>(nb) +
-                        (reinterpret_cast<char *>(p) -
-                         reinterpret_cast<char *>(ob)));
-                };
-                rebase(activeMask);
-                rebase(rcMask);
-                rebase(vaReqMask);
-                rebase(saReqMask);
-                rebase(headArrive);
-                rebase(headSince);
-                rebase(pkt);
-                rebase(outPort);
-                rebase(outVc);
-                rebase(vcLo);
-                rebase(vcHi);
-                rebase(fifoHead);
-                rebase(fifoCount);
-                rebase(saGrants);
-                rebase(saGrantOut);
-                hotStore_ = std::vector<std::uint64_t>();
-            }
-        }
-        if (!creditStore_.empty()) {
-            auto *nc = reinterpret_cast<int *>(
-                arena.alloc(creditInts_ * sizeof(int)));
-            if (nc != nullptr) {
-                std::memcpy(nc, outputs[0].credits,
-                            static_cast<std::size_t>(ports) *
-                                creditRowInts_ * sizeof(int));
-                for (std::size_t p = 0; p < outputs.size(); ++p)
-                    if (outputs[p].credits != nullptr)
-                        outputs[p].credits = nc + p * creditRowInts_;
-                creditStore_ = std::vector<int>();
-            }
-        }
     }
 
     /** Mirror the head-of-FIFO arrival cycle after a pop. */
@@ -448,17 +363,13 @@ struct RouterCore
         return hotStore_.data() + (64 - addr % 64) % 64 / sizeof(std::uint64_t);
     }
 
-    /** Self-owned backing storage for all slot FIFOs (fifoFlits),
-     *  released by moveToArena(). */
+    /** Backing storage for all slot FIFOs (fifoFlits). */
     std::vector<Flit> fifoStore_;
     /** Backing storage of the aligned hot sections (+1 line of
      *  alignment slack). */
     std::vector<std::uint64_t> hotStore_;
     /** Backing storage of the packed credit rows (+64 B slack). */
     std::vector<int> creditStore_;
-    std::size_t creditRowInts_ = 0; ///< ints per port row
-    std::size_t hotWords_ = 0;   ///< hot-buffer size (survives a move)
-    std::size_t creditInts_ = 0; ///< credit-buffer size (ditto)
 };
 
 } // namespace hnoc

@@ -44,8 +44,6 @@ Profiler::reset()
 {
     std::memset(ns_, 0, sizeof(ns_));
     std::memset(visits_, 0, sizeof(visits_));
-    for (BlockStat &b : blocks_)
-        b = BlockStat{};
 }
 
 void
@@ -56,44 +54,6 @@ Profiler::merge(const Profiler &other)
         ns_[i] += other.ns_[i];
         visits_[i] += other.visits_[i];
     }
-    if (other.blocks_.size() > blocks_.size())
-        blocks_.resize(other.blocks_.size());
-    for (std::size_t b = 0; b < other.blocks_.size(); ++b) {
-        blocks_[b].ns += other.blocks_[b].ns;
-        blocks_[b].visits += other.blocks_[b].visits;
-        // Footprints describe layout, not accumulation: keep the
-        // first non-zero value (identical across merged instances of
-        // the same network shape).
-        if (blocks_[b].bytes == 0)
-            blocks_[b].bytes = other.blocks_[b].bytes;
-    }
-}
-
-void
-Profiler::enableBlocks(std::size_t n)
-{
-    if (blocks_.size() < n)
-        blocks_.resize(n);
-}
-
-void
-Profiler::setBlockBytes(std::size_t b, std::uint64_t bytes)
-{
-    if (b < blocks_.size())
-        blocks_[b].bytes = bytes;
-}
-
-double
-Profiler::bytesStreamedPerCycle() const
-{
-    std::uint64_t c = cycles();
-    if (c == 0)
-        return 0.0;
-    double sum = 0.0;
-    for (const BlockStat &b : blocks_)
-        sum += static_cast<double>(b.bytes) *
-               static_cast<double>(b.visits);
-    return sum / static_cast<double>(c);
 }
 
 std::uint64_t
@@ -141,22 +101,6 @@ Profiler::writeJson(JsonWriter &w) const
         w.endObject();
     }
     w.endObject();
-    if (!blocks_.empty()) {
-        w.keyValue("bytes_streamed_per_cycle", bytesStreamedPerCycle());
-        w.key("blocks").beginArray();
-        for (const BlockStat &b : blocks_) {
-            w.beginObject();
-            w.keyValue("ns", b.ns);
-            w.keyValue("visits", b.visits);
-            w.keyValue("hot_bytes", b.bytes);
-            w.keyValue("share_pct",
-                       total > 0 ? 100.0 * static_cast<double>(b.ns) /
-                                       static_cast<double>(total)
-                                 : 0.0);
-            w.endObject();
-        }
-        w.endArray();
-    }
     w.endObject();
 }
 
@@ -200,26 +144,6 @@ Profiler::table() const
         std::snprintf(buf, sizeof(buf), "%-18s %14.1f\n", "ns/cycle",
                       static_cast<double>(total) /
                           static_cast<double>(cycles()));
-        out += buf;
-    }
-    if (!blocks_.empty()) {
-        std::snprintf(buf, sizeof(buf), "%-18s %14s %12s %12s\n",
-                      "block", "wall ns", "visits", "hot bytes");
-        out += buf;
-        for (std::size_t b = 0; b < blocks_.size(); ++b) {
-            char name[32];
-            std::snprintf(name, sizeof(name), "block[%zu]", b);
-            std::snprintf(buf, sizeof(buf), "%-18s %14llu %12llu %12llu\n",
-                          name,
-                          static_cast<unsigned long long>(blocks_[b].ns),
-                          static_cast<unsigned long long>(
-                              blocks_[b].visits),
-                          static_cast<unsigned long long>(
-                              blocks_[b].bytes));
-            out += buf;
-        }
-        std::snprintf(buf, sizeof(buf), "%-18s %14.1f\n",
-                      "bytes/cycle", bytesStreamedPerCycle());
         out += buf;
     }
     return out;

@@ -118,43 +118,6 @@ class Profiler
     }
     ///@}
 
-    /** @name Per-block attribution (cache-blocked stepping, §6g) */
-    ///@{
-    /** Arm per-block accumulators for @p n spatial blocks (idempotent
-     *  when already sized; clears on shrink-to-zero via reset()). */
-    void enableBlocks(std::size_t n);
-
-    /** Charge @p ns of wall clock to block @p b (one visit = one
-     *  touched cycle: empty blocks are skipped, not visited). */
-    void
-    addBlock(std::size_t b, std::uint64_t ns)
-    {
-        if (b < blocks_.size()) {
-            blocks_[b].ns += ns;
-            ++blocks_[b].visits;
-        }
-    }
-
-    /** Record block @p b's steady-state hot footprint in bytes. */
-    void setBlockBytes(std::size_t b, std::uint64_t bytes);
-
-    std::size_t numBlocks() const { return blocks_.size(); }
-    std::uint64_t blockNs(std::size_t b) const { return blocks_[b].ns; }
-    std::uint64_t blockVisits(std::size_t b) const
-    {
-        return blocks_[b].visits;
-    }
-    std::uint64_t blockBytes(std::size_t b) const
-    {
-        return blocks_[b].bytes;
-    }
-
-    /** Bytes the blocked step order streams per simulated cycle:
-     *  sum over blocks of hot-footprint x touched-cycles, divided by
-     *  cycles covered. 0 without block data. */
-    double bytesStreamedPerCycle() const;
-    ///@}
-
     /**
      * Emit the `profile.phases` object: per-phase ns / visits / share
      * of StepTotal, plus the unattributed residual.
@@ -168,17 +131,8 @@ class Profiler
     std::string table() const;
 
   private:
-    /** One spatial block's wall/visit/footprint accumulators. */
-    struct BlockStat
-    {
-        std::uint64_t ns = 0;
-        std::uint64_t visits = 0;
-        std::uint64_t bytes = 0;
-    };
-
     std::uint64_t ns_[static_cast<std::size_t>(ProfPhase::NumPhases)];
     std::uint64_t visits_[static_cast<std::size_t>(ProfPhase::NumPhases)];
-    std::vector<BlockStat> blocks_;
 };
 
 /**

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "heteronoc/layout.hh"
 #include "noc/config_io.hh"
@@ -41,7 +42,6 @@ expectConfigsEqual(const NetworkConfig &a, const NetworkConfig &b)
     EXPECT_EQ(a.intraPacketPairing, b.intraPacketPairing);
     EXPECT_EQ(a.saPolicy, b.saPolicy);
     EXPECT_EQ(a.alwaysStep, b.alwaysStep);
-    EXPECT_EQ(a.blockTiles, b.blockTiles);
     EXPECT_EQ(a.pipelineStages, b.pipelineStages);
     EXPECT_EQ(a.linkLatency, b.linkLatency);
     EXPECT_DOUBLE_EQ(a.clockGHz, b.clockGHz);
@@ -61,7 +61,6 @@ TEST(ConfigIo, RoundTripHeterogeneous)
     cfg.saPolicy = SaPolicy::OldestFirst;
     cfg.intraPacketPairing = false;
     cfg.alwaysStep = true;
-    cfg.blockTiles = 16;
     expectConfigsEqual(cfg, configFromString(configToString(cfg)));
 }
 
@@ -167,6 +166,85 @@ TEST(ConfigIo, SimOptionsUnknownKeyFatal)
 {
     EXPECT_DEATH((void)simOptionsFromString("no_such_key=1\n"),
                  "unknown key");
+}
+
+TEST(ConfigIo, MalformedNumbersFatal)
+{
+    // Trailing garbage, empty values and out-of-range values are
+    // rejected with the key named, never an uncaught exception.
+    EXPECT_DEATH((void)configFromString("radix_x=abc\n"),
+                 "key 'radix_x': 'abc' is not an int");
+    EXPECT_DEATH((void)configFromString("radix_x=8x\n"),
+                 "key 'radix_x': '8x' is not an int");
+    EXPECT_DEATH((void)configFromString("radix_x=\n"),
+                 "key 'radix_x': '' is not an int");
+    EXPECT_DEATH((void)configFromString("radix_x=99999999999\n"),
+                 "key 'radix_x': '99999999999' is not an int");
+    EXPECT_DEATH((void)configFromString("router_vcs=2,3,x\n"),
+                 "key 'router_vcs': 'x' is not an int");
+    EXPECT_DEATH((void)configFromString("clock_ghz=2.2GHz\n"),
+                 "key 'clock_ghz': '2.2GHz' is not a finite number");
+    EXPECT_DEATH((void)configFromString("clock_ghz=nan\n"),
+                 "key 'clock_ghz': 'nan' is not a finite number");
+    EXPECT_DEATH((void)configFromString("clock_ghz=1e999\n"),
+                 "key 'clock_ghz': '1e999' is not a finite number");
+}
+
+TEST(ConfigIo, SimOptionsMalformedNumbersFatal)
+{
+    EXPECT_DEATH((void)simOptionsFromString("injection_rate=x\n"),
+                 "key 'injection_rate': 'x' is not a finite number");
+    EXPECT_DEATH((void)simOptionsFromString("injection_rate=0.1%\n"),
+                 "key 'injection_rate': '0.1%' is not a finite number");
+    EXPECT_DEATH((void)simOptionsFromString("seed=-1\n"),
+                 "key 'seed': '-1' is not an unsigned 64-bit integer");
+    EXPECT_DEATH(
+        (void)simOptionsFromString(
+            "warmup_cycles=18446744073709551616\n"),
+        "key 'warmup_cycles': '18446744073709551616' is not an "
+        "unsigned 64-bit integer");
+    EXPECT_DEATH((void)simOptionsFromString("warmup_epochs=1.5\n"),
+                 "key 'warmup_epochs': '1.5' is not an int");
+}
+
+TEST(ConfigIo, UnknownSaPolicyFatal)
+{
+    EXPECT_EQ(configFromString("sa_policy=oldest-first\n").saPolicy,
+              SaPolicy::OldestFirst);
+    EXPECT_EQ(configFromString("sa_policy=round-robin\n").saPolicy,
+              SaPolicy::RoundRobin);
+    EXPECT_DEATH((void)configFromString("sa_policy=oldest_first\n"),
+                 "key 'sa_policy': 'oldest_first' is not round-robin or "
+                 "oldest-first");
+}
+
+TEST(ConfigIo, StrictParseAcceptsBoundaryValues)
+{
+    // The strict parsers reject garbage, not valid extremes.
+    NetworkConfig c = configFromString("radix_x=2147483647\n"
+                                       "escape_threshold=-2147483648\n"
+                                       "router_vcs=2,,3\n"
+                                       "clock_ghz=2.5e0\n");
+    EXPECT_EQ(c.radixX, 2147483647);
+    EXPECT_EQ(c.escapeThreshold, -2147483647 - 1);
+    EXPECT_EQ(c.routerVcs, (std::vector<int>{2, 3}));
+    EXPECT_DOUBLE_EQ(c.clockGHz, 2.5);
+
+    SimPointOptions o =
+        simOptionsFromString("seed=18446744073709551615\n"
+                             "injection_rate=.125\n"
+                             "warmup_cycles=0\n");
+    EXPECT_EQ(o.seed, 18446744073709551615ull);
+    EXPECT_DOUBLE_EQ(o.injectionRate, 0.125);
+    EXPECT_EQ(o.warmupCycles, 0u);
+}
+
+TEST(ConfigIo, BlockTilesKeyIsUnknown)
+{
+    // Cache-blocked stepping is gone; a config still carrying its key
+    // is rejected rather than silently ignored.
+    EXPECT_DEATH((void)configFromString("block_tiles=16\n"),
+                 "unknown key 'block_tiles'");
 }
 
 TEST(ConfigIo, LoadedConfigSimulates)

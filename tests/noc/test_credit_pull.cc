@@ -28,7 +28,7 @@ struct CreditPullCase
 {
     LayoutKind layout;
     bool alwaysStep;
-    int blockTiles; ///< 0 = auto
+    int linkLatency;
 };
 
 class CreditPull : public ::testing::TestWithParam<CreditPullCase>
@@ -58,7 +58,7 @@ TEST_P(CreditPull, BurstyThenIdleConservesAndRefills)
     const CreditPullCase &c = GetParam();
     NetworkConfig cfg = makeLayoutConfig(c.layout);
     cfg.alwaysStep = c.alwaysStep;
-    cfg.blockTiles = c.blockTiles;
+    cfg.linkLatency = c.linkLatency;
     Network net(cfg);
     const int nodes = net.topology().numNodes();
     const int routers = net.topology().numRouters();
@@ -115,22 +115,25 @@ TEST_P(CreditPull, BurstyThenIdleConservesAndRefills)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    LayoutsSchedulersBlocks, CreditPull,
-    ::testing::Values(
-        CreditPullCase{LayoutKind::Baseline, false, 1},
-        CreditPullCase{LayoutKind::Baseline, false, 0},
-        CreditPullCase{LayoutKind::Baseline, true, 1},
-        CreditPullCase{LayoutKind::Baseline, true, 0},
-        CreditPullCase{LayoutKind::DiagonalBL, false, 1},
-        CreditPullCase{LayoutKind::DiagonalBL, false, 0},
-        CreditPullCase{LayoutKind::DiagonalBL, true, 1},
-        CreditPullCase{LayoutKind::DiagonalBL, true, 0}),
+    LayoutsSchedulers, CreditPull,
+    ::testing::Values(CreditPullCase{LayoutKind::Baseline, false, 1},
+                      CreditPullCase{LayoutKind::Baseline, true, 1},
+                      CreditPullCase{LayoutKind::DiagonalBL, false, 1},
+                      CreditPullCase{LayoutKind::DiagonalBL, true, 1},
+                      // Longer credit pipes hold more queued credits
+                      // per idle driver.
+                      CreditPullCase{LayoutKind::Baseline, false, 3},
+                      CreditPullCase{LayoutKind::Baseline, true, 3},
+                      CreditPullCase{LayoutKind::DiagonalBL, false, 3},
+                      CreditPullCase{LayoutKind::DiagonalBL, true, 3}),
     [](const ::testing::TestParamInfo<CreditPullCase> &info) {
         const CreditPullCase &c = info.param;
         return std::string(c.layout == LayoutKind::Baseline ? "baseline"
                                                             : "diagbl") +
                (c.alwaysStep ? "_exhaustive" : "_active") +
-               (c.blockTiles == 0 ? "_auto" : "_block1");
+               (c.linkLatency == 1
+                    ? ""
+                    : "_link" + std::to_string(c.linkLatency));
     });
 
 } // namespace

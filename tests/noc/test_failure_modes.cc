@@ -37,9 +37,9 @@ TEST(FailureModes, MisSizedOverridesFatal)
 
 TEST(FailureModes, ZeroDelayChannelsFatal)
 {
-    // Blocked stepping and pulled credits both need every channel
-    // delay >= 1 cycle; pipelineStages 0 makes the inter-router flit
-    // delay pipelineStages - 1 + linkLatency zero.
+    // Pulled credits need every channel delay >= 1 cycle;
+    // pipelineStages 0 makes the inter-router flit delay
+    // pipelineStages - 1 + linkLatency zero.
     NetworkConfig cfg = makeLayoutConfig(LayoutKind::Baseline);
     cfg.pipelineStages = 0;
     EXPECT_DEATH({ Network net(cfg); }, "pipelineStages 0 < 1");

@@ -123,34 +123,28 @@ TEST(ParallelDeterminism, ParallelRunIsRepeatable)
     expectBitIdentical(first, second);
 }
 
-TEST(ParallelDeterminism, BlockSizesMatchSerialAcrossThreadCounts)
+TEST(ParallelDeterminism, ActiveSetMatchesExhaustiveAcrossThreadCounts)
 {
-    // Cache-blocked stepping (§6g) composes with the parallel engine:
-    // single-tile blocks, the auto default, and one whole-chip block
-    // must all reproduce the serial default-blocking reference at
-    // every thread count.
+    // The active-set step order composes with the parallel engine:
+    // serial and pooled active-set sweeps must reproduce the serial
+    // exhaustive-loop reference at every thread count.
     NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL);
+    NetworkConfig always_cfg = cfg;
+    always_cfg.alwaysStep = true;
     SimPointOptions opts = quickOptions();
 
-    auto serial = sweepLoadSerial(cfg, TrafficPattern::UniformRandom,
-                                  kRates, opts);
+    auto reference = sweepLoadSerial(
+        always_cfg, TrafficPattern::UniformRandom, kRates, opts);
 
-    for (int block_tiles : {1, 1 << 20}) {
-        NetworkConfig blocked = cfg;
-        blocked.blockTiles = block_tiles;
-        SCOPED_TRACE("block_tiles " + std::to_string(block_tiles));
-        expectBitIdentical(
-            sweepLoadSerial(blocked, TrafficPattern::UniformRandom,
-                            kRates, opts),
-            serial);
-        for (int threads : {1, 3, 4}) {
-            SCOPED_TRACE(std::to_string(threads) + " threads");
-            JobPool pool(threads);
-            expectBitIdentical(
-                sweepLoad(blocked, TrafficPattern::UniformRandom,
-                          kRates, opts, &pool),
-                serial);
-        }
+    expectBitIdentical(
+        sweepLoadSerial(cfg, TrafficPattern::UniformRandom, kRates, opts),
+        reference);
+    for (int threads : {1, 3, 4}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        JobPool pool(threads);
+        expectBitIdentical(sweepLoad(cfg, TrafficPattern::UniformRandom,
+                                     kRates, opts, &pool),
+                           reference);
     }
 }
 

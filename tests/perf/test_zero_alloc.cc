@@ -3,7 +3,7 @@
  * Steady-state allocation audit: once the packet arena, scratch
  * vectors, and ring buffers are warm, a loaded Network::step must not
  * touch the heap at all — under both the active-set scheduler and the
- * HNOC_ALWAYS_STEP exhaustive loop. Enforced by replacing global
+ * exhaustive (config.alwaysStep) loop. Enforced by replacing global
  * operator new with a counting shim (this binary only).
  *
  * This contract covers the SoA router core: its per-slot arrays,
@@ -166,13 +166,29 @@ TEST(ZeroAlloc, HeterogeneousDiagonalBlIsAllocationFree)
     EXPECT_EQ(measureSteadyStateAllocs(cfg), 0u);
 }
 
-TEST(ZeroAlloc, SingleTileBlocksAreAllocationFree)
+TEST(ZeroAlloc, DeepPipelineLongLinksAreAllocationFree)
 {
-    // blockTiles=1 maximises block-boundary traffic: every channel
-    // delivery crosses the per-block active lists, so this is the
-    // densest sweep over the wake/merge/compact machinery.
+    // Longer channel delays deepen every flit and credit pipe; their
+    // rings are sized at construction, so stepping must stay off the
+    // heap under both step orders.
     NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL);
-    cfg.blockTiles = 1;
+    cfg.pipelineStages = 3;
+    cfg.linkLatency = 3;
+    EXPECT_EQ(measureSteadyStateAllocs(cfg), 0u);
+    cfg.alwaysStep = true;
+    EXPECT_EQ(measureSteadyStateAllocs(cfg), 0u);
+}
+
+TEST(ZeroAlloc, TorusLoadedStepIsAllocationFree)
+{
+    // Wrap-around links and dateline VC classes on a 4x4 torus with
+    // four nodes per router.
+    NetworkConfig cfg;
+    cfg.name = "torus";
+    cfg.topology = TopologyType::Torus;
+    cfg.radixX = 4;
+    cfg.radixY = 4;
+    cfg.concentration = 4;
     EXPECT_EQ(measureSteadyStateAllocs(cfg), 0u);
 }
 
@@ -282,55 +298,6 @@ TEST(Footprint, RouterCoreCountsPackedCreditStorage)
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(
                   core.outputs[0].credits) % 64,
               0u);
-}
-
-TEST(Footprint, ArenaMovePreservesStateAndAlignment)
-{
-    // moveToArena relocates the packed FIFO, hot-section, and credit
-    // storage into one externally owned region. The move must keep
-    // every section on its own cache line, preserve live contents
-    // (credits, buffered flits), and leave footprintBytes unchanged —
-    // placement is a performance property, never a sizing one.
-    hnoc::RouterCore core;
-    core.init(/*ports=*/5, /*vcs=*/3, /*depth=*/4);
-    core.connectOutput(/*p=*/0, nullptr, 1, /*down_vcs=*/6, /*depth=*/4);
-    core.connectOutput(/*p=*/1, nullptr, 1, /*down_vcs=*/4, /*depth=*/4);
-    core.finalizeWiring();
-    core.outputs[0].credits[2] = 7; // sentinel surviving the move
-    hnoc::Flit f;
-    f.seq = 42;
-    core.fifoPush(3, f);
-    std::uint64_t before = core.footprintBytes();
-    // Capture the quote before moving: arenaBytes() reports what a
-    // move *would* carve, and the packed-FIFO section transfers
-    // ownership out of the core when the move happens.
-    std::size_t quoted = core.arenaBytes();
-
-    hnoc::HotArena arena;
-    arena.reserve(quoted);
-    ASSERT_GT(arena.reservedBytes(), 0u);
-    core.moveToArena(arena);
-
-    auto lineAligned = [](const void *p) {
-        return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
-    };
-    EXPECT_TRUE(lineAligned(core.activeMask));
-    EXPECT_TRUE(lineAligned(core.saReqMask));
-    EXPECT_TRUE(lineAligned(core.headArrive));
-    EXPECT_TRUE(lineAligned(core.outputs[0].credits));
-    EXPECT_EQ(core.outputs[0].credits[2], 7);
-    EXPECT_EQ(core.outputs[1].credits[3], 4); // initDepth intact
-    ASSERT_EQ(core.fifoSize(3), 1);
-    EXPECT_EQ(core.fifoFront(3).seq, 42);
-    EXPECT_EQ(core.footprintBytes(), before);
-    // Every section landed inside the reserved region: the bump
-    // cursor advanced (no section fell back to self-owned storage)
-    // and never past the quoted worst case (arenaBytes rounds each
-    // section up to whole lines; used() ends at the last section's
-    // exact byte count).
-    EXPECT_GT(arena.used(), 0u);
-    EXPECT_LE(arena.used(), quoted);
-    EXPECT_LE(arena.used(), arena.reservedBytes());
 }
 
 TEST(Footprint, SteadyStateMemoryAuditIsConstant)

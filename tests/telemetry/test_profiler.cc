@@ -174,74 +174,6 @@ TEST(Profiler, TableListsPhases)
     EXPECT_NE(t.find("channel_delivery"), std::string::npos) << t;
 }
 
-// --------------------------------------------- per-block attribution --
-
-TEST(Profiler, BlocksAccumulateAndDeriveBytesStreamed)
-{
-    Profiler p;
-    p.add(ProfPhase::StepTotal, 1000, 10); // 10 cycles covered
-    p.enableBlocks(2);
-    p.setBlockBytes(0, 100);
-    p.setBlockBytes(1, 300);
-    for (int i = 0; i < 10; ++i)
-        p.addBlock(0, 40); // touched every cycle
-    for (int i = 0; i < 5; ++i)
-        p.addBlock(1, 80); // idle-skipped half the time
-
-    EXPECT_EQ(p.numBlocks(), 2u);
-    EXPECT_EQ(p.blockNs(0), 400u);
-    EXPECT_EQ(p.blockVisits(0), 10u);
-    EXPECT_EQ(p.blockNs(1), 400u);
-    EXPECT_EQ(p.blockVisits(1), 5u);
-    // (100*10 + 300*5) / 10 cycles
-    EXPECT_DOUBLE_EQ(p.bytesStreamedPerCycle(), 250.0);
-
-    // Out-of-range charges are dropped, not UB.
-    p.addBlock(7, 1);
-    EXPECT_EQ(p.numBlocks(), 2u);
-}
-
-TEST(Profiler, BlockJsonIsAdditiveAndMergeAware)
-{
-    Profiler a;
-    a.add(ProfPhase::StepTotal, 1000, 4);
-    // Without blocks, the JSON must not mention them (OFF-path and
-    // always-step reports keep the pre-§6g shape).
-    std::string bare = a.json();
-    EXPECT_EQ(bare.find("\"blocks\""), std::string::npos) << bare;
-    EXPECT_EQ(bare.find("\"bytes_streamed_per_cycle\""),
-              std::string::npos)
-        << bare;
-
-    a.enableBlocks(1);
-    a.setBlockBytes(0, 64);
-    a.addBlock(0, 500);
-
-    Profiler b;
-    b.add(ProfPhase::StepTotal, 1000, 4);
-    b.enableBlocks(1);
-    b.setBlockBytes(0, 64);
-    b.addBlock(0, 300);
-
-    a.merge(b);
-    EXPECT_EQ(a.blockNs(0), 800u);
-    EXPECT_EQ(a.blockVisits(0), 2u);
-    EXPECT_EQ(a.blockBytes(0), 64u); // layout fact, not accumulated
-
-    std::string j = a.json();
-    EXPECT_NE(j.find("\"blocks\""), std::string::npos) << j;
-    EXPECT_NE(j.find("\"hot_bytes\""), std::string::npos) << j;
-    EXPECT_NE(j.find("\"bytes_streamed_per_cycle\""), std::string::npos)
-        << j;
-    std::string t = a.table();
-    EXPECT_NE(t.find("block[0]"), std::string::npos) << t;
-    EXPECT_NE(t.find("bytes/cycle"), std::string::npos) << t;
-
-    a.reset();
-    EXPECT_EQ(a.blockNs(0), 0u);
-    EXPECT_EQ(a.blockVisits(0), 0u);
-}
-
 TEST(Profiler, PhaseNamesAreStable)
 {
     // hnoc_inspect `profile` and the run-report schema key on these.

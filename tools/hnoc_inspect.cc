@@ -59,12 +59,7 @@ usage()
         "  profile <report.json> [--trace FILE]\n"
         "                                 simulator self-profile: "
         "per-phase\n"
-        "                                 wall-clock attribution, "
-        "per-block\n"
-        "                                 timings and bytes streamed "
-        "per cycle\n"
-        "                                 (cache-blocked stepping), "
-        "and\n"
+        "                                 wall-clock attribution and\n"
         "                                 per-component memory "
         "footprints\n"
         "                                 (runs made with --profile); "
@@ -547,30 +542,6 @@ cmdProfile(const std::string &path, const std::string &trace_path)
         if (cycles > 0)
             std::printf("%-18s %14.1f\n", "ns/cycle",
                         total_ns / cycles);
-
-        // Per-block attribution from the cache-blocked step order
-        // (§6g): wall time and touched-cycle count per spatial block,
-        // each block's hot footprint, and the derived bytes the step
-        // loop streams per simulated cycle.
-        const JsonValue *blocks = wall->find("blocks");
-        if (blocks && !blocks->array.empty()) {
-            std::printf("\nper-block attribution (%zu blocks)\n",
-                        blocks->array.size());
-            std::printf("%-18s %14s %12s %12s %7s\n", "block",
-                        "wall ns", "visits", "hot bytes", "share");
-            for (std::size_t b = 0; b < blocks->array.size(); ++b) {
-                const JsonValue &blk = blocks->array[b];
-                char name[32];
-                std::snprintf(name, sizeof(name), "block[%zu]", b);
-                std::printf("%-18s %14.0f %12.0f %12.0f %6.1f%%\n",
-                            name, blk.numAt("ns", 0),
-                            blk.numAt("visits", 0),
-                            blk.numAt("hot_bytes", 0),
-                            blk.numAt("share_pct", 0));
-            }
-            std::printf("%-18s %14.1f\n", "bytes/cycle",
-                        wall->numAt("bytes_streamed_per_cycle", 0));
-        }
     }
 
     if (const JsonValue *mem = prof->find("memory")) {
