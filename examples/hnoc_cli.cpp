@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/report.hh"
 #include "heteronoc/layout.hh"
 #include "noc/config_io.hh"
@@ -181,13 +182,18 @@ main(int argc, char **argv)
         else if (arg == "--pattern")
             pattern = parsePattern(next());
         else if (arg == "--rate")
-            rates = {std::atof(next().c_str())};
+            rates = {parseDouble(arg, next())};
         else if (arg == "--sweep") {
-            double a;
-            double b;
-            double s;
-            if (std::sscanf(next().c_str(), "%lf:%lf:%lf", &a, &b, &s) !=
-                    3 || s <= 0.0)
+            std::string spec = next();
+            auto c1 = spec.find(':');
+            auto c2 =
+                c1 == std::string::npos ? c1 : spec.find(':', c1 + 1);
+            if (c2 == std::string::npos)
+                fatal("--sweep wants A:B:S");
+            double a = parseDouble(arg, spec.substr(0, c1));
+            double b = parseDouble(arg, spec.substr(c1 + 1, c2 - c1 - 1));
+            double s = parseDouble(arg, spec.substr(c2 + 1));
+            if (s <= 0.0)
                 fatal("--sweep wants A:B:S");
             rates.clear();
             for (double r = a; r <= b + 1e-12; r += s)
@@ -197,9 +203,9 @@ main(int argc, char **argv)
         else if (arg == "--routing")
             yx = next() == "yx";
         else if (arg == "--radix")
-            radix = std::atoi(next().c_str());
+            radix = parseInt(arg, next());
         else if (arg == "--seed")
-            seed = std::strtoull(next().c_str(), nullptr, 10);
+            seed = parseU64(arg, next());
         else if (arg == "--csv")
             csv_path = next();
         else if (arg == "--json")
@@ -216,7 +222,7 @@ main(int argc, char **argv)
             adaptive = true;
         else if (arg.rfind("--adaptive=", 0) == 0) {
             adaptive = true;
-            ci_target = std::atof(arg.c_str() + 11);
+            ci_target = parseDouble("--adaptive", arg.substr(11));
             if (ci_target <= 0.0)
                 fatal("--adaptive=T wants a positive CI target");
         } else if (arg == "--sim-options")
@@ -232,13 +238,13 @@ main(int argc, char **argv)
         else if (arg == "--progress")
             progress_every = 10000;
         else if (arg.rfind("--progress=", 0) == 0)
-            progress_every = std::strtoull(arg.c_str() + 11, nullptr, 10);
+            progress_every = parseU64("--progress", arg.substr(11));
         else if (arg == "--audit")
             audit_every = 1000;
         else if (arg.rfind("--audit=", 0) == 0)
-            audit_every = std::strtoull(arg.c_str() + 8, nullptr, 10);
+            audit_every = parseU64("--audit", arg.substr(8));
         else if (arg.rfind("--watchdog=", 0) == 0)
-            watchdog_window = std::strtoull(arg.c_str() + 11, nullptr, 10);
+            watchdog_window = parseU64("--watchdog", arg.substr(11));
         else if (arg == "--profile")
             profile = true;
         else if (arg == "--blame")

@@ -2,14 +2,19 @@
 
 #include <cstdlib>
 
+#include "common/parse.hh"
+
 namespace hnoc
 {
 
 int
 JobPool::defaultThreadCount()
 {
-    if (const char *env = std::getenv("HNOC_THREADS")) {
-        int v = std::atoi(env);
+    // Unset or empty means "not set"; 0 or a negative count falls
+    // back to the hardware size; anything not an int is fatal.
+    const char *env = std::getenv("HNOC_THREADS");
+    if (env && *env) {
+        int v = parseInt("HNOC_THREADS", env);
         if (v >= 1)
             return v;
     }

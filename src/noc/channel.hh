@@ -29,7 +29,7 @@
 #include "common/ring_buffer.hh"
 #include "noc/active_set.hh"
 #include "noc/flit.hh"
-#include "telemetry/metrics.hh"
+#include "noc/probe.hh"
 
 namespace hnoc
 {
@@ -81,11 +81,8 @@ class Channel
             ++busyCycles_;
         }
         ++flitsSent_;
-        if (kTelemetryEnabled && telemetry_) {
-            telemetry_->add(Ctr::LinkFlits, telRouter_, telPort_);
-            if (paired)
-                telemetry_->add(Ctr::LinkPaired, telRouter_, telPort_);
-        }
+        if (probe_)
+            probe_->linkFlit(driverRouter_, driverPort_, paired);
         flitPipe_.push_back(
             {now + static_cast<Cycle>(flitDelay_), flit});
         slot_.markBusy();
@@ -233,16 +230,16 @@ class Channel
     }
 
     /**
-     * Attach a metrics registry; link-flit counters are attributed to
-     * the driving router's (router, out-port) pair. Pass nullptr to
-     * detach.
+     * Point the link-flit hook at @p probe (nullptr detaches); events
+     * are attributed to the driving router's (router, out-port) pair.
      */
     void
-    setTelemetry(MetricRegistry *reg, int driver_router, int driver_port)
+    setProbe(const Probe *probe, RouterId driver_router,
+             PortId driver_port)
     {
-        telemetry_ = reg;
-        telRouter_ = driver_router;
-        telPort_ = driver_port;
+        probe_ = probe;
+        driverRouter_ = driver_router;
+        driverPort_ = driver_port;
     }
 
   private:
@@ -282,7 +279,7 @@ class Channel
 
     // Hot-first member order (§6g): everything the per-cycle send /
     // deliver path touches sits at the front of the object; the
-    // telemetry attachment trio trails as the cold tail.
+    // probe attachment trails as the cold tail.
     int id_;
     int widthBits_;
     int lanes_;
@@ -299,9 +296,9 @@ class Channel
     std::uint64_t busyCycles_ = 0;
     std::uint64_t pairedCycles_ = 0;
 
-    MetricRegistry *telemetry_ = nullptr;
-    int telRouter_ = -1;
-    int telPort_ = -1;
+    const Probe *probe_ = nullptr;
+    RouterId driverRouter_ = INVALID_ROUTER;
+    PortId driverPort_ = INVALID_PORT;
 };
 
 } // namespace hnoc

@@ -1,12 +1,11 @@
 #include "noc/config_io.hh"
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace hnoc
 {
@@ -113,55 +112,15 @@ joinInts(const std::vector<T> &v)
     return out;
 }
 
-/** Parse all of @p val as a T: no trailing characters, in range. */
-template <typename T>
-bool
-parseWhole(const std::string &val, T &out)
-{
-    const char *end = val.data() + val.size();
-    auto [ptr, ec] = std::from_chars(val.data(), end, out);
-    return ec == std::errc() && ptr == end;
-}
-
-int
-parseInt(const std::string &key, const std::string &val)
-{
-    int v = 0;
-    if (!parseWhole(val, v))
-        fatal("config: key '%s': '%s' is not an int", key.c_str(),
-              val.c_str());
-    return v;
-}
-
-std::uint64_t
-parseU64(const std::string &key, const std::string &val)
-{
-    std::uint64_t v = 0;
-    if (!parseWhole(val, v))
-        fatal("config: key '%s': '%s' is not an unsigned 64-bit integer",
-              key.c_str(), val.c_str());
-    return v;
-}
-
-double
-parseDouble(const std::string &key, const std::string &val)
-{
-    double v = 0.0;
-    if (!parseWhole(val, v) || !std::isfinite(v))
-        fatal("config: key '%s': '%s' is not a finite number", key.c_str(),
-              val.c_str());
-    return v;
-}
-
 std::vector<int>
-splitInts(const std::string &key, const std::string &s)
+splitInts(const std::string &what, const std::string &s)
 {
     std::vector<int> out;
     std::stringstream in(s);
     std::string item;
     while (std::getline(in, item, ','))
         if (!item.empty())
-            out.push_back(parseInt(key, item));
+            out.push_back(parseInt(what, item));
     return out;
 }
 
@@ -231,57 +190,58 @@ configFromString(const std::string &text)
             fatal("config: malformed line '%s'", line.c_str());
         std::string key = line.substr(0, eq);
         std::string val = line.substr(eq + 1);
+        std::string what = "config: key '" + key + "'"; // parse errors
 
         if (key == "name")
             c.name = val;
         else if (key == "topology")
             c.topology = topologyFromName(val);
         else if (key == "radix_x")
-            c.radixX = parseInt(key, val);
+            c.radixX = parseInt(what, val);
         else if (key == "radix_y")
-            c.radixY = parseInt(key, val);
+            c.radixY = parseInt(what, val);
         else if (key == "concentration")
-            c.concentration = parseInt(key, val);
+            c.concentration = parseInt(what, val);
         else if (key == "flit_bits")
-            c.flitWidthBits = parseInt(key, val);
+            c.flitWidthBits = parseInt(what, val);
         else if (key == "data_packet_bits")
-            c.dataPacketBits = parseInt(key, val);
+            c.dataPacketBits = parseInt(what, val);
         else if (key == "buffer_depth")
-            c.bufferDepth = parseInt(key, val);
+            c.bufferDepth = parseInt(what, val);
         else if (key == "default_vcs")
-            c.defaultVcs = parseInt(key, val);
+            c.defaultVcs = parseInt(what, val);
         else if (key == "default_width_bits")
-            c.defaultWidthBits = parseInt(key, val);
+            c.defaultWidthBits = parseInt(what, val);
         else if (key == "router_vcs")
-            c.routerVcs = splitInts(key, val);
+            c.routerVcs = splitInts(what, val);
         else if (key == "router_width_bits")
-            c.routerWidthBits = splitInts(key, val);
+            c.routerWidthBits = splitInts(what, val);
         else if (key == "link_mode")
             c.linkWidthMode = linkModeFromName(val);
         else if (key == "uniform_link_bits")
-            c.uniformLinkBits = parseInt(key, val);
+            c.uniformLinkBits = parseInt(what, val);
         else if (key == "band_wide_links")
-            c.bandWideLinks = parseInt(key, val);
+            c.bandWideLinks = parseInt(what, val);
         else if (key == "routing")
             c.routing = routingFromName(val);
         else if (key == "table_nodes") {
             c.tableRoutedNodes.clear();
-            for (int n : splitInts(key, val))
+            for (int n : splitInts(what, val))
                 c.tableRoutedNodes.push_back(n);
         } else if (key == "escape_threshold")
-            c.escapeThreshold = parseInt(key, val);
+            c.escapeThreshold = parseInt(what, val);
         else if (key == "intra_packet_pairing")
-            c.intraPacketPairing = parseInt(key, val) != 0;
+            c.intraPacketPairing = parseInt(what, val) != 0;
         else if (key == "sa_policy")
             c.saPolicy = saPolicyFromName(key, val);
         else if (key == "always_step")
-            c.alwaysStep = parseInt(key, val) != 0;
+            c.alwaysStep = parseInt(what, val) != 0;
         else if (key == "pipeline_stages")
-            c.pipelineStages = parseInt(key, val);
+            c.pipelineStages = parseInt(what, val);
         else if (key == "link_latency")
-            c.linkLatency = parseInt(key, val);
+            c.linkLatency = parseInt(what, val);
         else if (key == "clock_ghz")
-            c.clockGHz = parseDouble(key, val);
+            c.clockGHz = parseDouble(what, val);
         else
             fatal("config: unknown key '%s'", key.c_str());
     }
@@ -332,47 +292,48 @@ simOptionsFromString(const std::string &text)
             fatal("sim options: malformed line '%s'", line.c_str());
         std::string key = line.substr(0, eq);
         std::string val = line.substr(eq + 1);
+        std::string what = "config: key '" + key + "'"; // parse errors
 
         if (key == "injection_rate")
-            o.injectionRate = parseDouble(key, val);
+            o.injectionRate = parseDouble(what, val);
         else if (key == "warmup_cycles")
-            o.warmupCycles = parseU64(key, val);
+            o.warmupCycles = parseU64(what, val);
         else if (key == "measure_cycles")
-            o.measureCycles = parseU64(key, val);
+            o.measureCycles = parseU64(what, val);
         else if (key == "drain_cycles")
-            o.drainCycles = parseU64(key, val);
+            o.drainCycles = parseU64(what, val);
         else if (key == "seed")
-            o.seed = parseU64(key, val);
+            o.seed = parseU64(what, val);
         else if (key == "control_fraction")
-            o.controlFraction = parseDouble(key, val);
+            o.controlFraction = parseDouble(what, val);
         else if (key == "collect_metrics")
-            o.collectMetrics = parseInt(key, val) != 0;
+            o.collectMetrics = parseInt(what, val) != 0;
         else if (key == "telemetry_epoch")
-            o.telemetryEpoch = parseU64(key, val);
+            o.telemetryEpoch = parseU64(what, val);
         else if (key == "control_mode")
             o.control.mode = simControlModeFromName(val);
         else if (key == "min_warmup_cycles")
-            o.control.minWarmupCycles = parseU64(key, val);
+            o.control.minWarmupCycles = parseU64(what, val);
         else if (key == "warmup_epochs")
-            o.control.warmupEpochs = parseInt(key, val);
+            o.control.warmupEpochs = parseInt(what, val);
         else if (key == "warmup_tolerance")
-            o.control.warmupTolerance = parseDouble(key, val);
+            o.control.warmupTolerance = parseDouble(what, val);
         else if (key == "ci_target")
-            o.control.ciTarget = parseDouble(key, val);
+            o.control.ciTarget = parseDouble(what, val);
         else if (key == "ci_confidence")
-            o.control.ciConfidence = parseDouble(key, val);
+            o.control.ciConfidence = parseDouble(what, val);
         else if (key == "min_batches")
-            o.control.minBatches = parseInt(key, val);
+            o.control.minBatches = parseInt(what, val);
         else if (key == "epochs_per_batch")
-            o.control.epochsPerBatch = parseInt(key, val);
+            o.control.epochsPerBatch = parseInt(what, val);
         else if (key == "min_measure_cycles")
-            o.control.minMeasureCycles = parseU64(key, val);
+            o.control.minMeasureCycles = parseU64(what, val);
         else if (key == "sat_epochs")
-            o.control.satEpochs = parseInt(key, val);
+            o.control.satEpochs = parseInt(what, val);
         else if (key == "sat_depth_per_node")
-            o.control.satDepthPerNode = parseDouble(key, val);
+            o.control.satDepthPerNode = parseDouble(what, val);
         else if (key == "sat_growth_per_node")
-            o.control.satGrowthPerNode = parseDouble(key, val);
+            o.control.satGrowthPerNode = parseDouble(what, val);
         else
             fatal("sim options: unknown key '%s'", key.c_str());
     }

@@ -158,7 +158,7 @@ Network::build()
         RouterId r = topo_->routerOfNode(n);
         PortId lp = topo_->localPortOfNode(n);
         Router &router = routers_[static_cast<std::size_t>(r)];
-        nis_.push_back(std::make_unique<NetworkInterface>(n, this));
+        nis_.push_back(std::make_unique<NetworkInterface>(n));
         NetworkInterface &ni = *nis_.back();
 
         int local_bits = config_.localChannelBits(r);
@@ -245,32 +245,34 @@ Network::enqueuePacket(NodeId src, NodeId dst, int num_flits,
         // Alternate dimension orders deterministically by packet id.
         pkt->yxRouted = (pkt->id & 1) != 0;
     }
-    // Arm the blame ledger last: `*pkt = Packet{}` above resets the
-    // pointer on arena recycle, so detached runs carry none.
-    if (kTelemetryEnabled && blame_)
-        pkt->blame = blame_->acquire();
     nis_[static_cast<std::size_t>(src)]->enqueue(pkt);
     ++packetsInjected_;
     ++livePackets_;
-    if (kTelemetryEnabled && telemetry_) {
-        telemetry_->add(Ctr::PacketsInjected);
-        telemetry_->gaugeMax(Gauge::PeakInFlight,
-                             static_cast<std::uint64_t>(livePackets_));
-    }
-    if (kTelemetryEnabled && recorder_)
-        recorder_->record(FrKind::Inject, cycle_, src, -1, -1, pkt->id,
-                          true);
-    if (observer_)
-        observer_->onPacketCreated(*pkt, cycle_);
+    // The probe arms the blame ledger: `*pkt = Packet{}` above resets
+    // the pointer on arena recycle, so detached runs carry none.
+    if (probe_)
+        probe_->packetCreated(*pkt, livePackets_, cycle_);
     return pkt;
+}
+
+void
+Network::repointProbe()
+{
+    probe_ = sinks_.active() ? &sinks_ : nullptr;
+    for (auto &r : routers_)
+        r.setProbe(probe_);
+    for (ChannelEnds &e : ends_)
+        if (e.driverIsRouter)
+            e.chan->setProbe(probe_, e.driverRouter, e.driverPort);
+    for (auto &ni : nis_)
+        ni->setProbe(probe_);
 }
 
 void
 Network::setObserver(NetworkObserver *observer)
 {
-    observer_ = observer;
-    for (auto &r : routers_)
-        r.setObserver(observer);
+    sinks_.observer = observer;
+    repointProbe();
 }
 
 std::unique_ptr<MetricRegistry>
@@ -301,13 +303,8 @@ Network::makeMetricRegistry(Cycle epoch_cycles) const
 void
 Network::attachTelemetry(MetricRegistry *reg)
 {
-    telemetry_ = reg;
-    for (auto &r : routers_)
-        r.setTelemetry(reg);
-    for (ChannelEnds &e : ends_) {
-        if (e.driverIsRouter)
-            e.chan->setTelemetry(reg, e.driverRouter, e.driverPort);
-    }
+    sinks_.registry = reg;
+    repointProbe();
     if (reg)
         reg->beginWindow(cycle_);
 }
@@ -315,25 +312,23 @@ Network::attachTelemetry(MetricRegistry *reg)
 void
 Network::detachTelemetry()
 {
-    if (telemetry_)
-        telemetry_->finish();
+    if (sinks_.registry)
+        sinks_.registry->finish();
     attachTelemetry(nullptr);
 }
 
 void
 Network::attachFlightRecorder(FlightRecorder *fr)
 {
-    recorder_ = fr;
-    for (auto &r : routers_)
-        r.setFlightRecorder(fr);
+    sinks_.recorder = fr;
+    repointProbe();
 }
 
 void
 Network::attachProfiler(Profiler *prof)
 {
-    profiler_ = prof;
-    for (auto &r : routers_)
-        r.setProfiler(prof);
+    sinks_.profiler = prof;
+    repointProbe();
 }
 
 std::unique_ptr<BlameCollector>
@@ -369,9 +364,8 @@ Network::makeBlameCollector() const
 void
 Network::attachBlame(BlameCollector *b)
 {
-    blame_ = b;
-    for (auto &r : routers_)
-        r.setBlame(b);
+    sinks_.blame = b;
+    repointProbe();
 }
 
 MemoryAudit
@@ -408,12 +402,12 @@ Network::memoryAudit() const
     a.add("active_set", ends_.capacity() * sizeof(ChannelEnds) + lists,
           ends_.size() + routers_.size() + nis_.size());
 
-    if (telemetry_)
-        a.add("metric_registry", telemetry_->footprintBytes(), 1);
-    if (recorder_)
-        a.add("flight_recorder", recorder_->footprintBytes(), 1);
-    if (blame_)
-        a.add("blame_collector", blame_->footprintBytes(), 1);
+    if (sinks_.registry)
+        a.add("metric_registry", sinks_.registry->footprintBytes(), 1);
+    if (sinks_.recorder)
+        a.add("flight_recorder", sinks_.recorder->footprintBytes(), 1);
+    if (sinks_.blame)
+        a.add("blame_collector", sinks_.blame->footprintBytes(), 1);
     return a;
 }
 
@@ -592,13 +586,13 @@ Network::postmortemJson(const std::string &reason) const
         w.keyValue("error", audit_err);
     w.endObject();
 
-    if (recorder_) {
+    if (sinks_.recorder) {
         w.key("flight_recorder");
-        recorder_->writeJson(w);
+        sinks_.recorder->writeJson(w);
     }
-    if (telemetry_) {
+    if (sinks_.registry) {
         w.key("telemetry");
-        telemetry_->writeJson(w);
+        sinks_.registry->writeJson(w);
     }
     w.endObject();
     return w.str();
@@ -640,7 +634,8 @@ Network::step()
     // the unattributed residual is active-set scan + loop overhead.
     // With no profiler attached each scope costs one branch; the OFF
     // build folds `prof` to nullptr and compiles the timers away.
-    Profiler *prof = kTelemetryEnabled ? profiler_ : nullptr;
+    Profiler *prof =
+        kTelemetryEnabled && probe_ ? probe_->profiler : nullptr;
     ProfScope stepScope(prof, ProfPhase::StepTotal);
 
     // Channel delivery hands each flit straight to its receiver —
@@ -658,58 +653,28 @@ Network::step()
                 *nis_[static_cast<std::size_t>(e.sinkNode)];
             e.chan->deliverFlitsTo(now, [&](const Flit &f) {
                 ++flitsDelivered_;
-                if (kTelemetryEnabled && telemetry_)
-                    telemetry_->add(Ctr::FlitsEjected);
-                // Head delivery fixes the tail-serialization bound:
-                // the remaining flits drain through this one ejection
-                // channel at <= eff flits/cycle (2 only when pairing
-                // can ride a wide local link), so the tail cannot
-                // eject before headEjectAt + ceil(n/eff) - 1.
-                if (kTelemetryEnabled && f.isHead() && f.pkt->blame) {
-                    BlameLedger *bl = f.pkt->blame;
-                    bl->headEjectAt = now;
-                    int eff =
-                        (config_.intraPacketPairing &&
-                         e.chan->lanes() > 1)
+                // The tail drains behind the head at 2 flits/cycle
+                // only when pairing can ride a wide local link.
+                if (probe_)
+                    probe_->flitEjected(
+                        f,
+                        config_.intraPacketPairing && e.chan->lanes() > 1
                             ? 2
-                            : 1;
-                    bl->minSerCycles = static_cast<std::uint64_t>(
-                        (f.pkt->numFlits + eff - 1) / eff - 1);
-                }
+                            : 1,
+                        now);
                 Packet *done = ni.receiveFlit(f, now);
                 if (done) {
                     ++packetsDelivered_;
                     --livePackets_;
                     lastDelivery_ = now;
-                    if (kTelemetryEnabled && telemetry_) {
-                        telemetry_->add(Ctr::PacketsDelivered);
-                        telemetry_->histAdd(
-                            Hist::PacketLatencyCycles,
-                            static_cast<double>(now - done->createdAt));
-                        telemetry_->histAdd(
-                            Hist::NetworkLatencyCycles,
-                            static_cast<double>(now - done->injectedAt));
-                    }
-                    if (kTelemetryEnabled && recorder_)
-                        recorder_->record(FrKind::Eject, now, done->dst,
-                                          -1, -1, done->id, true);
-                    if (observer_)
-                        observer_->onPacketDelivered(*done, now);
+                    if (probe_)
+                        probe_->packetDelivered(*done, now);
                     if (client_)
                         client_->onPacketDelivered(*this, *done, now);
-                    // Commit after the client callback so tests can
+                    // Retire after the client callback so tests can
                     // inspect the finished ledger from the callback.
-                    if (kTelemetryEnabled && done->blame) {
-                        if (blame_) {
-                            blame_->commit(done->id, done->src,
-                                           done->dst, done->createdAt,
-                                           done->injectedAt,
-                                           done->ejectedAt,
-                                           *done->blame);
-                            blame_->release(done->blame);
-                        }
-                        done->blame = nullptr;
-                    }
+                    if (probe_)
+                        probe_->packetRetired(*done);
                     freePacket(done);
                 }
             });
@@ -762,10 +727,8 @@ Network::step()
         }
     }
 
-    if (kTelemetryEnabled && telemetry_) {
-        ProfScope s(prof, ProfPhase::TelemetryTick);
-        telemetry_->tick(now);
-    }
+    if (probe_)
+        probe_->cycleEnd(now);
 
     ++cycle_;
 }

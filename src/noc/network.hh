@@ -17,6 +17,7 @@
 #include "noc/network_config.hh"
 #include "noc/network_interface.hh"
 #include "noc/observer.hh"
+#include "noc/probe.hh"
 #include "noc/router.hh"
 #include "noc/routing.hh"
 #include "noc/topology.hh"
@@ -72,7 +73,7 @@ class Network
     /** Install the packet producer/consumer. */
     void setClient(NetworkClient *client) { client_ = client; }
 
-    /** Install a flit-event observer on every router (nullptr clears). */
+    /** Install a flit-event observer (nullptr clears). */
     void setObserver(NetworkObserver *observer);
 
     /** Advance one clock cycle. */
@@ -177,9 +178,9 @@ class Network
     makeMetricRegistry(Cycle epoch_cycles = 1000) const;
 
     /**
-     * Attach @p reg to every router and router-driven channel and
-     * start its measurement window at the current cycle. Pass nullptr
-     * (or call detachTelemetry) to stop collecting.
+     * Attach @p reg to the network's probe and start its measurement
+     * window at the current cycle. Pass nullptr (or call
+     * detachTelemetry) to stop collecting.
      */
     void attachTelemetry(MetricRegistry *reg);
 
@@ -187,20 +188,20 @@ class Network
     void detachTelemetry();
 
     /** @return the attached registry, or nullptr. */
-    MetricRegistry *telemetry() const { return telemetry_; }
+    MetricRegistry *telemetry() const { return sinks_.registry; }
 
     /**
-     * Attach a flight recorder to every router plus the network's
-     * inject/eject hooks (nullptr to detach). Like the registry hooks,
-     * the cost while detached is one branch per event.
+     * Attach a flight recorder to the network's probe (nullptr to
+     * detach). Like every sink, the cost while nothing is attached is
+     * one branch per event.
      */
     void attachFlightRecorder(FlightRecorder *fr);
 
     /** @return the attached flight recorder, or nullptr. */
-    FlightRecorder *flightRecorder() const { return recorder_; }
+    FlightRecorder *flightRecorder() const { return sinks_.recorder; }
 
     /**
-     * Attach a self-profiler to the step loop and every router
+     * Attach a self-profiler to the step loop and the router phases
      * (nullptr to detach). Wall-clock phase attribution is report-only
      * — simulation results are bit-identical with and without a
      * profiler attached — and the hooks compile out under
@@ -209,7 +210,7 @@ class Network
     void attachProfiler(Profiler *prof);
 
     /** @return the attached profiler, or nullptr. */
-    Profiler *profiler() const { return profiler_; }
+    Profiler *profiler() const { return sinks_.profiler; }
 
     /**
      * Create a BlameCollector sized for this network, with router
@@ -219,16 +220,17 @@ class Network
     std::unique_ptr<BlameCollector> makeBlameCollector() const;
 
     /**
-     * Attach a blame collector to every router and arm per-packet
-     * ledger allocation (nullptr to detach). Report-only: attribution
-     * never alters simulated behavior, and the hooks compile out under
-     * -DHNOC_TELEMETRY=OFF. Packets already in flight at attach time
-     * carry no ledger and are skipped at delivery.
+     * Attach a blame collector to the network's probe and arm
+     * per-packet ledger allocation (nullptr to detach). Report-only:
+     * attribution never alters simulated behavior, and the hooks
+     * compile out under -DHNOC_TELEMETRY=OFF. Packets already in
+     * flight at attach time carry no ledger and are skipped at
+     * delivery; packets in flight at detach time are not committed.
      */
     void attachBlame(BlameCollector *b);
 
     /** @return the attached blame collector, or nullptr. */
-    BlameCollector *blame() const { return blame_; }
+    BlameCollector *blame() const { return sinks_.blame; }
 
     /**
      * Per-component steady-state memory breakdown: routers (SoA core
@@ -289,6 +291,11 @@ class Network
     Packet *allocPacket();
     void freePacket(Packet *pkt);
 
+    /** Point every router, router-driven channel and NI at the probe
+     *  (nullptr while no sink this build feeds is attached). Called
+     *  after every change to the sink set. */
+    void repointProbe();
+
     NetworkConfig config_;
     std::unique_ptr<Topology> topo_;
     std::unique_ptr<RoutingAlgorithm> routing_;
@@ -316,11 +323,9 @@ class Network
     ActiveList activeNis_;
 
     NetworkClient *client_ = nullptr;
-    NetworkObserver *observer_ = nullptr;
-    MetricRegistry *telemetry_ = nullptr;
-    FlightRecorder *recorder_ = nullptr;
-    Profiler *profiler_ = nullptr;
-    BlameCollector *blame_ = nullptr;
+    /** The attached sinks; probe_ is &sinks_ while any is active. */
+    Probe sinks_;
+    const Probe *probe_ = nullptr;
 
     Cycle cycle_ = 0;
     Cycle measureStart_ = 0;

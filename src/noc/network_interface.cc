@@ -1,9 +1,7 @@
 #include "noc/network_interface.hh"
 
 #include "common/logging.hh"
-#include "noc/network.hh"
-#include "telemetry/blame.hh"
-#include "telemetry/metrics.hh"
+#include "noc/probe.hh"
 
 namespace hnoc
 {
@@ -64,11 +62,8 @@ NetworkInterface::stepInject(Cycle now)
 
             if (s.nextSeq == 0) {
                 pkt->injectedAt = now;
-                // Zero-load head path starts with the injection link;
-                // the per-hop terms accrue at each SA grant.
-                if (kTelemetryEnabled && pkt->blame)
-                    pkt->blame->minHeadCycles +=
-                        static_cast<std::uint64_t>(inj_->flitDelay());
+                if (probe_)
+                    probe_->headInjected(*pkt, inj_->flitDelay());
             }
 
             --credits_[static_cast<std::size_t>(vc)];

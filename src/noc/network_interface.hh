@@ -34,15 +34,12 @@
 namespace hnoc
 {
 
-class Network;
-
 /** Terminal-node adapter between a client and its router. */
 class NetworkInterface
 {
   public:
-    NetworkInterface(NodeId node, Network *net)
-        : node_(node), net_(net),
-          sourceQueue_(kInitialQueueCapacity, /*growable=*/true)
+    explicit NetworkInterface(NodeId node)
+        : node_(node), sourceQueue_(kInitialQueueCapacity, /*growable=*/true)
     {}
 
     /** Wire the injection channel toward the router's local port.
@@ -61,6 +58,9 @@ class NetworkInterface
 
     /** Wire the ejection channel from the router's local port. */
     void connectEjection(Channel *chan) { ej_ = chan; }
+
+    /** Point the injection hook at @p probe (nullptr detaches). */
+    void setProbe(const Probe *probe) { probe_ = probe; }
 
     /** Queue a packet for injection. */
     void
@@ -136,9 +136,8 @@ class NetworkInterface
 
     // Hot-first member order (§6g): the stepInject path reads the
     // queue, streams, credits and pairing flag every active cycle;
-    // the stats attachment trails as the cold tail.
+    // the stats and probe attachments trail as the cold tail.
     NodeId node_;
-    Network *net_;
     Channel *inj_ = nullptr;
     Channel *ej_ = nullptr;
     std::vector<int> credits_;
@@ -148,6 +147,7 @@ class NetworkInterface
     bool intraPairing_ = true;
     ActivitySlot slot_;
     RouterActivity *linkActivity_ = nullptr;
+    const Probe *probe_ = nullptr;
 };
 
 } // namespace hnoc

@@ -2,7 +2,8 @@
  * @file
  * Observer hooks for flit-level events: packet injection/ejection and
  * per-router flit arrival/departure. Used for debugging, trace dumps
- * and per-hop latency analysis; costs nothing when unset.
+ * and per-hop latency analysis. An observer is one sink of the
+ * network's Probe (noc/probe.hh); it costs nothing when unset.
  */
 
 #ifndef HNOC_NOC_OBSERVER_HH

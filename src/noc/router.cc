@@ -3,6 +3,10 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "noc/probe.hh"
+#include "telemetry/blame.hh"
+#include "telemetry/metrics.hh"
+#include "telemetry/profiler.hh"
 
 namespace hnoc
 {
@@ -48,13 +52,8 @@ Router::receiveFlit(PortId p, Flit flit, Cycle now)
     ++flitCount_;
     slot_.markBusy();
     ++activity_.bufferWrites;
-    if (kTelemetryEnabled && telemetry_)
-        telemetry_->add(Ctr::BufferWrites, id_, p, flit.vc);
-    if (kTelemetryEnabled && recorder_)
-        recorder_->record(FrKind::FlitIn, now, id_, p, flit.vc,
-                          flit.pkt ? flit.pkt->id : 0, flit.isHead());
-    if (observer_)
-        observer_->onFlitArrive(id_, p, flit, now);
+    if (probe_)
+        probe_->flitIn(id_, p, flit, now);
 }
 
 void
@@ -67,7 +66,8 @@ Router::step(Cycle now)
     // phase timings chain on shared clock reads (four reads, no
     // inter-scope gaps), so no instrumentation slop between phases
     // leaks into the unattributed scan-overhead residual.
-    Profiler *prof = kTelemetryEnabled ? profiler_ : nullptr;
+    Profiler *prof =
+        kTelemetryEnabled && probe_ ? probe_->profiler : nullptr;
     if (prof) {
         auto ns = [](Profiler::clock::time_point a,
                      Profiler::clock::time_point b) {
@@ -92,19 +92,18 @@ Router::step(Cycle now)
         switchAllocate(now);
     }
 
-    // After SA has settled the cycle, every head still pending is by
-    // definition stalled for exactly one cycle; classify and charge
-    // it. Detached cost: one constant-foldable branch.
-    if (kTelemetryEnabled && blame_)
-        blamePass(now);
-
     // Occupancy sample for the Fig 1/2 heat maps. A zero sample is a
     // no-op on both accumulators, so skipping flitless cycles under
     // active-set scheduling loses nothing.
-    int occ = flitCount_;
-    occupancySum_ += occ;
-    if (kTelemetryEnabled && telemetry_)
-        telemetry_->occupancySample(id_, occ);
+    occupancySum_ += flitCount_;
+    if (probe_) {
+        // After SA has settled the cycle, every head still pending is
+        // by definition stalled for exactly one cycle; classify and
+        // charge it.
+        if (kTelemetryEnabled && probe_->blame)
+            blamePass(*probe_->blame, now);
+        probe_->occupancy(id_, flitCount_);
+    }
     if (flitCount_ == 0)
         slot_.markIdle(); // drained every buffered flit this cycle
 }
@@ -129,19 +128,13 @@ Router::routeCompute(Cycle now)
                       id_, static_cast<unsigned long long>(
                                head.pkt ? head.pkt->id : 0));
             core_.pkt[si] = head.pkt;
-            // Route-pending blame, charged as a lump: the head has
-            // been the front flit since headArrive (refreshHead keeps
-            // that exact, including behind a draining predecessor),
-            // and the earliest possible RC cycle is headArrive + 1.
-            if (kTelemetryEnabled && blame_ && head.pkt->blame) {
-                Cycle waited = now - core_.headArrive[si] - 1;
-                if (waited > 0) {
-                    head.pkt->blame->charge(BlameCause::RoutePending,
-                                            waited);
-                    blame_->charge(id_, INVALID_PORT,
-                                   BlameCause::RoutePending, waited);
-                }
-            }
+            // The head has been the front flit since headArrive
+            // (refreshHead keeps that exact, including behind a
+            // draining predecessor), and the earliest possible RC
+            // cycle is headArrive + 1.
+            if (probe_)
+                probe_->headRouted(id_, *head.pkt,
+                                   now - core_.headArrive[si] - 1);
             bitops::maskSet(core_.activeMask, s);
             bitops::maskClear(core_.rcMask, s);
             bitops::maskSet(core_.vaReqMask, s);
@@ -216,15 +209,9 @@ Router::vcAllocate(Cycle now)
                 bitops::maskClear(core_.vaReqMask, s);
                 bitops::maskSet(core_.saReq(core_.outPort[si]), s);
             }
-            if (kTelemetryEnabled && telemetry_ && v < 0)
-                telemetry_->add(Ctr::VaConflicts, id_, s / core_.vcs,
-                                s % core_.vcs);
-            if (kTelemetryEnabled && recorder_)
-                recorder_->record(v < 0 ? FrKind::VaDeny
-                                        : FrKind::VaGrant,
-                                  now, id_, s / core_.vcs,
-                                  s % core_.vcs,
-                                  core_.pkt[si] ? core_.pkt[si]->id : 0);
+            if (probe_)
+                probe_->vcAllocated(id_, s / core_.vcs, s % core_.vcs,
+                                    core_.pkt[si]->id, v >= 0, now);
             return true;
         });
 }
@@ -269,8 +256,8 @@ Router::switchAllocatePort(PortId o, Cycle now)
         if (credits >= bufferDepth_ * 4) // generous sanity bound
             panic("router %d port %d vc %d: credit overflow", id_, o, vc);
         ++credits;
-        if (kTelemetryEnabled && recorder_)
-            recorder_->record(FrKind::CreditIn, due, id_, o, vc);
+        if (probe_)
+            probe_->creditIn(id_, o, vc, due);
     });
 
     int total = core_.total;
@@ -297,15 +284,11 @@ Router::switchAllocatePort(PortId o, Cycle now)
         --op.credits[static_cast<std::size_t>(out_vc)];
         flit.vc = out_vc;
         op.chan->sendFlit(flit, now);
-        // Zero-load head-path accounting: this hop contributes one
-        // switch cycle plus the channel delay, priced on the route
-        // actually taken (detours included).
-        if (kTelemetryEnabled && blame_ && flit.isHead() &&
-            flit.pkt->blame)
-            flit.pkt->blame->minHeadCycles +=
-                1 + static_cast<std::uint64_t>(op.chan->flitDelay());
-        if (observer_)
-            observer_->onFlitDepart(id_, o, flit, now);
+        // The hop's zero-load price: one switch cycle plus the
+        // channel delay.
+        if (probe_)
+            probe_->flitOut(id_, o, in_port, s % core_.vcs, flit,
+                            1 + op.chan->flitDelay(), now);
 
         ++pg;
         core_.saGrantOut[in_port] = o;
@@ -313,17 +296,6 @@ Router::switchAllocatePort(PortId o, Cycle now)
         ++activity_.bufferReads;
         ++activity_.xbarTraversals;
         ++activity_.arbOps;
-        if (kTelemetryEnabled && telemetry_) {
-            telemetry_->add(Ctr::XbarGrants, id_, o);
-            telemetry_->add(Ctr::BufferReads, id_, in_port);
-        }
-        if (kTelemetryEnabled && recorder_) {
-            recorder_->record(FrKind::FlitOut, now, id_, o, flit.vc,
-                              flit.pkt ? flit.pkt->id : 0,
-                              flit.isHead());
-            recorder_->record(FrKind::CreditOut, now, id_, in_port,
-                              s % core_.vcs);
-        }
         // Charge the active (flit) bits, not the full wire
         // width: an unpaired flit on a wide link toggles only
         // its own half.
@@ -358,12 +330,9 @@ Router::switchAllocatePort(PortId o, Cycle now)
         if (core_.headArrive[si] >= now) // empty or written this cycle
             return granted < capacity;
         if (op.credits[static_cast<std::size_t>(core_.outVc[si])] <= 0) {
-            if (kTelemetryEnabled && telemetry_)
-                telemetry_->add(Ctr::CreditStalls, id_, o);
-            if (kTelemetryEnabled && recorder_)
-                recorder_->record(FrKind::CreditStall, now, id_, o,
-                                  core_.outVc[si],
-                                  core_.pkt[si] ? core_.pkt[si]->id : 0);
+            if (probe_)
+                probe_->creditStall(id_, o, core_.outVc[si],
+                                    core_.pkt[si]->id, now);
             return granted < capacity;
         }
         int &pg = core_.saGrants[in_port];
@@ -425,7 +394,7 @@ Router::switchAllocatePort(PortId o, Cycle now)
 }
 
 void
-Router::blamePass(Cycle now)
+Router::blamePass(BlameCollector &blame, Cycle now)
 {
     // Charge one stall cycle to every head that was eligible this
     // cycle yet did not depart. A slot is in exactly one of rcMask /
@@ -447,7 +416,7 @@ Router::blamePass(Cycle now)
                                    ? BlameCause::EjectBackpressure
                                    : BlameCause::VaConflictLost;
             pkt->blame->charge(cause);
-            blame_->charge(id_, core_.outPort[si], cause);
+            blame.charge(id_, core_.outPort[si], cause);
             return true;
         });
 
@@ -482,7 +451,7 @@ Router::blamePass(Cycle now)
                 else
                     cause = BlameCause::SaConflictLost;
                 pkt->blame->charge(cause);
-                blame_->charge(id_, o, cause);
+                blame.charge(id_, o, cause);
                 return true;
             });
     }

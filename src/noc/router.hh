@@ -20,7 +20,7 @@
  *
  * Active-set scheduling: the router exposes busy() — true while any
  * input VC holds a flit — and the Network steps only busy routers.
- * This is exact, not heuristic: RC, VA, SA, telemetry and occupancy
+ * This is exact, not heuristic: RC, VA, SA, probe events and occupancy
  * sampling are all no-ops on a flitless router, and the round-robin
  * pointers are derived from the cycle number (plus a grant offset that
  * only moves on granting, i.e. busy, cycles) so arbitration state
@@ -37,17 +37,15 @@
 #include "noc/channel.hh"
 #include "noc/flit.hh"
 #include "noc/network_config.hh"
-#include "noc/observer.hh"
 #include "noc/router_core.hh"
 #include "noc/routing.hh"
 #include "power/router_power.hh"
-#include "telemetry/blame.hh"
-#include "telemetry/flight_recorder.hh"
-#include "telemetry/metrics.hh"
-#include "telemetry/profiler.hh"
 
 namespace hnoc
 {
+
+class BlameCollector;
+class Probe;
 
 /** One router instance. Wiring is performed by Network. */
 class Router
@@ -126,28 +124,11 @@ class Router
     /** @return true if any input VC holds a flit (watchdog helper). */
     bool hasBufferedFlits() const { return flitCount_ > 0; }
 
-    /** Install a flit-event observer (nullptr to clear). */
-    void setObserver(NetworkObserver *observer) { observer_ = observer; }
-
-    /** Attach a metrics registry (nullptr to detach). Hooks cost one
-     *  branch per event while detached. */
-    void setTelemetry(MetricRegistry *reg) { telemetry_ = reg; }
-
-    /** Attach a flight recorder (nullptr to detach). Same cost model
-     *  as setTelemetry: one branch per event while detached. */
-    void setFlightRecorder(FlightRecorder *fr) { recorder_ = fr; }
-
-    /** Attach a self-profiler (nullptr to detach). While detached the
-     *  cost is one branch per pipeline sub-phase per stepped cycle;
-     *  while attached each sub-phase pays two steady_clock reads.
-     *  Report-only: profiling never alters simulation results. */
-    void setProfiler(Profiler *prof) { profiler_ = prof; }
-
-    /** Attach a blame collector (nullptr to detach). While detached
-     *  the cost is one branch per stepped cycle; while attached the
-     *  post-SA blame pass charges every still-pending head one stall
-     *  cycle. Report-only: never alters simulation results. */
-    void setBlame(BlameCollector *b) { blame_ = b; }
+    /** Point the event hooks at @p probe (nullptr detaches). Each
+     *  hook costs one branch per event while detached; the profiler
+     *  and blame arms of the probe also time the pipeline phases and
+     *  charge one stall cycle per pending head per stepped cycle. */
+    void setProbe(const Probe *probe) { probe_ = probe; }
 
     /** Mark @p p as the port driving the ejection channel, so blame
      *  can classify stalls at the ejection funnel separately. */
@@ -225,7 +206,7 @@ class Router
 
     /** Charge one stall cycle to every head still pending after SA;
      *  runs only while a BlameCollector is attached. */
-    void blamePass(Cycle now);
+    void blamePass(BlameCollector &blame, Cycle now);
 
     /** Handle the table-routing escape timeout for a stalled head
      *  occupying slot @p s. */
@@ -244,11 +225,7 @@ class Router
 
     RouterActivity activity_;
     double occupancySum_ = 0.0;
-    NetworkObserver *observer_ = nullptr;
-    MetricRegistry *telemetry_ = nullptr;
-    FlightRecorder *recorder_ = nullptr;
-    Profiler *profiler_ = nullptr;
-    BlameCollector *blame_ = nullptr;
+    const Probe *probe_ = nullptr;
     PortId ejectPort_ = INVALID_PORT;
     std::vector<int> scratchOrder_; ///< SA visiting order (OldestFirst)
 };

@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/stats.hh"
 #include "noc/watchdog.hh"
 #include "telemetry/health.hh"
@@ -196,10 +197,12 @@ double
 simScale()
 {
     static const double scale = [] {
+        // Unset or empty: scale 1; a non-positive scale falls back to
+        // 1; anything not a finite number is fatal.
         const char *env = std::getenv("HNOC_SIM_SCALE");
-        if (!env)
+        if (!env || !*env)
             return 1.0;
-        double v = std::atof(env);
+        double v = parseDouble("HNOC_SIM_SCALE", env);
         return v > 0.0 ? v : 1.0;
     }();
     return scale;

@@ -177,7 +177,8 @@ struct BatchPoint
  */
 std::uint64_t derivePointSeed(std::uint64_t base, std::uint64_t index);
 
-/** Scale factor for simulation lengths from HNOC_SIM_SCALE (default 1). */
+/** Scale factor for simulation lengths from HNOC_SIM_SCALE (default 1;
+ *  a non-positive value also means 1, a malformed one is fatal). */
 double simScale();
 
 /**

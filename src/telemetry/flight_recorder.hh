@@ -14,8 +14,10 @@
  * docs/OBSERVABILITY.md), answering "what was the pipeline doing in
  * the cycles before it stopped?" without rerunning.
  *
- * Hook sites in Router/Network test a recorder pointer exactly like
- * the MetricRegistry hooks and compile out under -DHNOC_TELEMETRY=OFF.
+ * The recorder is fed through the network's Probe (noc/probe.hh):
+ * hook sites test one probe pointer per component, the probe records
+ * into the recorder when one is attached, and the recorder arm
+ * compiles out under -DHNOC_TELEMETRY=OFF.
  */
 
 #ifndef HNOC_TELEMETRY_FLIGHT_RECORDER_HH

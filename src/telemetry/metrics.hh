@@ -4,11 +4,13 @@
  *
  * A MetricRegistry holds a fixed catalog of named counters, gauges and
  * histograms over per-router × per-port × per-VC dimensions, plus
- * time-bucketed (epoch) series for the heat-map metrics. Hook sites in
- * Router/Channel/Network test a registry pointer and call the inline
- * add() methods below; with no registry attached the cost is a single
- * predictable branch per event, and configuring the build with
- * -DHNOC_TELEMETRY=OFF compiles the hooks out entirely.
+ * time-bucketed (epoch) series for the heat-map metrics. The registry
+ * is fed through the network's Probe (noc/probe.hh): Router, Channel
+ * and NetworkInterface hold one probe pointer each, and the probe's
+ * per-event methods call the inline add() methods below. With no sink
+ * attached the cost is a single predictable branch per event, and
+ * configuring the build with -DHNOC_TELEMETRY=OFF compiles the
+ * registry arm of every probe method out entirely.
  *
  * Registries are single-threaded by design: every sim point owns its
  * own instance, and multi-seed / multi-point runs combine them after

@@ -12,10 +12,12 @@
  * computes ever reads it, so goldens and bit-identity are untouched
  * whether a profiler is attached or not (pinned by test_profiler).
  *
- * Cost model matches the registry hooks: one pointer test per phase
- * while detached, compiled out entirely under -DHNOC_TELEMETRY=OFF
- * (hook sites resolve the pointer through `kTelemetryEnabled ? ... :
- * nullptr`, which constant-folds to nullptr). While attached, each
+ * Cost model matches the registry hooks: the profiler is one sink of
+ * the network's Probe (noc/probe.hh), so a phase costs one probe
+ * pointer test while nothing is attached, and the timers compile out
+ * entirely under -DHNOC_TELEMETRY=OFF (hook sites resolve the pointer
+ * through `kTelemetryEnabled && probe_ ? probe_->profiler : nullptr`,
+ * which constant-folds to nullptr). While attached, each
  * phase costs two steady_clock reads — acceptable for profiling runs,
  * never paid by measurement runs.
  *
@@ -137,9 +139,9 @@ class Profiler
 
 /**
  * RAII phase timer. Constructed with nullptr (the detached state) it
- * is a no-op costing one branch; hook sites pass
- * `kTelemetryEnabled ? profiler_ : nullptr` so the OFF build folds the
- * whole scope away.
+ * is a no-op costing one branch; hook sites pass a pointer resolved
+ * through `kTelemetryEnabled` so the OFF build folds the whole scope
+ * away.
  */
 class ProfScope
 {

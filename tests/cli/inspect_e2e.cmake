@@ -135,4 +135,24 @@ if(NOT err MATCHES "byte")
         "inspect_e2e: parse error should cite a byte offset:\n${err}")
 endif()
 
+# A malformed numeric flag must be a clean, nonzero-exit error that
+# names the flag, never a run at a silently defaulted value.
+foreach(bad "--rate;abc" "--radix;8x" "--seed;-1" "--watchdog=5k"
+        "--adaptive=nan" "--sweep;0.01:0.02:x")
+    execute_process(
+        COMMAND "${HNOC_CLI}" ${bad}
+        RESULT_VARIABLE rc
+        OUTPUT_QUIET
+        ERROR_VARIABLE err)
+    list(GET bad 0 flag)
+    string(REGEX REPLACE "=.*" "" flag "${flag}")
+    if(rc EQUAL 0)
+        message(FATAL_ERROR "inspect_e2e: hnoc_cli ${bad} must not exit 0")
+    endif()
+    if(NOT err MATCHES "${flag}: '.*' is not")
+        message(FATAL_ERROR
+            "inspect_e2e: hnoc_cli ${bad} should name ${flag}:\n${err}")
+    endif()
+endforeach()
+
 message(STATUS "inspect_e2e: all steps passed")

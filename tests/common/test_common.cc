@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the common substrate: statistics, RNG, geometry.
+ * Unit tests for the common substrate: statistics, RNG, geometry,
+ * strict numeric parsing.
  */
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <cmath>
 
 #include "common/geometry.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 
@@ -15,6 +17,41 @@ namespace hnoc
 {
 namespace
 {
+
+TEST(Parse, WholeTextOnly)
+{
+    int i = 0;
+    EXPECT_TRUE(parseWhole("42", i));
+    EXPECT_EQ(i, 42);
+    EXPECT_TRUE(parseWhole("-7", i));
+    EXPECT_EQ(i, -7);
+    for (const char *bad : {"", "4x", " 4", "+4", "0x10", "99999999999"})
+        EXPECT_FALSE(parseWhole(bad, i)) << "'" << bad << "'";
+    double d = 0.0;
+    EXPECT_TRUE(parseWhole("2.5e-3", d));
+    EXPECT_DOUBLE_EQ(d, 2.5e-3);
+    EXPECT_FALSE(parseWhole("0.1%", d));
+}
+
+TEST(Parse, FatalNamesTheSource)
+{
+    EXPECT_EQ(parseInt("--radix", "16"), 16);
+    EXPECT_EQ(parseU64("--seed", "18446744073709551615"),
+              18446744073709551615ull);
+    EXPECT_DOUBLE_EQ(parseDouble("--rate", "0.05"), 0.05);
+    EXPECT_EXIT((void)parseInt("--radix", "8x"),
+                ::testing::ExitedWithCode(1),
+                "--radix: '8x' is not an int");
+    EXPECT_EXIT((void)parseU64("--seed", "-1"),
+                ::testing::ExitedWithCode(1),
+                "--seed: '-1' is not an unsigned 64-bit integer");
+    EXPECT_EXIT((void)parseDouble("--rate", "abc"),
+                ::testing::ExitedWithCode(1),
+                "--rate: 'abc' is not a finite number");
+    EXPECT_EXIT((void)parseDouble("--rate", "inf"),
+                ::testing::ExitedWithCode(1),
+                "--rate: 'inf' is not a finite number");
+}
 
 TEST(RunningStat, BasicMoments)
 {

@@ -30,6 +30,33 @@ TEST(JobPool, DefaultThreadCountReadsEnv)
     EXPECT_GE(JobPool::defaultThreadCount(), 1);
 }
 
+TEST(JobPool, DefaultThreadCountFallsBackOnNonPositive)
+{
+    // Only the count is computed: no pool is built from these values.
+    for (const char *v : {"0", "-3", ""}) {
+        ::setenv("HNOC_THREADS", v, 1);
+        EXPECT_GE(JobPool::defaultThreadCount(), 1) << "'" << v << "'";
+    }
+    ::setenv("HNOC_THREADS", "12", 1);
+    EXPECT_EQ(JobPool::defaultThreadCount(), 12);
+    ::unsetenv("HNOC_THREADS");
+}
+
+TEST(JobPool, MalformedThreadCountIsFatal)
+{
+    for (const char *v : {"abc", "4x", "+4", " 4", "1e3",
+                          "99999999999"}) {
+        EXPECT_EXIT(
+            {
+                ::setenv("HNOC_THREADS", v, 1);
+                (void)JobPool::defaultThreadCount();
+            },
+            ::testing::ExitedWithCode(1),
+            "HNOC_THREADS: '.*' is not an int")
+            << "HNOC_THREADS='" << v << "'";
+    }
+}
+
 TEST(JobPool, EnvSizedPoolHasOneWorker)
 {
     ::setenv("HNOC_THREADS", "1", 1);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "heteronoc/layout.hh"
 #include "noc/network_config.hh"
 #include "noc/sim_harness.hh"
@@ -134,6 +136,48 @@ TEST(SimScale, DefaultsToOne)
     // Unless HNOC_SIM_SCALE is exported, scaling is the identity.
     if (!std::getenv("HNOC_SIM_SCALE")) {
         EXPECT_DOUBLE_EQ(simScale(), 1.0);
+    }
+}
+
+// simScale() caches its first lookup, so each case runs in a freshly
+// executed child ("threadsafe" death tests re-run the test binary).
+TEST(SimScale, NonPositiveFallsBackToOne)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *v : {"0", "-2", ""}) {
+        EXPECT_EXIT(
+            {
+                ::setenv("HNOC_SIM_SCALE", v, 1);
+                std::exit(simScale() == 1.0 ? 0 : 1);
+            },
+            ::testing::ExitedWithCode(0), "")
+            << "HNOC_SIM_SCALE='" << v << "'";
+    }
+}
+
+TEST(SimScale, ParsesWholeValue)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            ::setenv("HNOC_SIM_SCALE", "0.25", 1);
+            std::exit(simScale() == 0.25 ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
+}
+
+TEST(SimScale, MalformedIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *v : {"abc", "0.5x", "nan", " 2"}) {
+        EXPECT_EXIT(
+            {
+                ::setenv("HNOC_SIM_SCALE", v, 1);
+                (void)simScale();
+            },
+            ::testing::ExitedWithCode(1),
+            "HNOC_SIM_SCALE: '.*' is not a finite number")
+            << "HNOC_SIM_SCALE='" << v << "'";
     }
 }
 
