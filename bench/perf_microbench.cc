@@ -124,21 +124,21 @@ BM_NetworkStepBlame(benchmark::State &state)
 BENCHMARK(BM_NetworkStepBlame);
 
 /**
- * Cycles/second at a fixed offered load under a chosen scheduler —
- * the active-set vs always-step A/B that records the scheduling
- * speedup in BENCH_trajectory.json. Loads (in flits/node/cycle,
- * divided by the 9-flit data packet to get the injection rate):
- * low = 0.02, mid = 0.2, saturation = offered far beyond acceptance
- * with an in-flight cap so over-saturation cannot grow memory without
- * bound (the cap models a finite-window client, identically for both
- * schedulers).
+ * Cycles/second at a fixed offered load, active-set stepping against
+ * the exhaustive baseline (`_always`: Network::markAllBusy() before
+ * every step, so every router and NI steps every cycle) — the A/B
+ * that records the scheduling speedup in BENCH_trajectory.json. Loads
+ * (in flits/node/cycle, divided by the 9-flit data packet to get the
+ * injection rate): low = 0.02, mid = 0.2, saturation = offered far
+ * beyond acceptance with an in-flight cap so over-saturation cannot
+ * grow memory without bound (the cap models a finite-window client,
+ * identically for both variants).
  */
 void
 stepLoad(benchmark::State &state, LayoutKind kind, double pkt_rate,
-         bool always_step, std::size_t max_in_flight = 0)
+         bool visit_all, std::size_t max_in_flight = 0)
 {
     NetworkConfig cfg = makeLayoutConfig(kind);
-    cfg.alwaysStep = always_step;
     Network net(cfg);
     TrafficGenerator gen(TrafficPattern::UniformRandom, 64, 8, 7);
     Cycle now = 0;
@@ -152,6 +152,8 @@ stepLoad(benchmark::State &state, LayoutKind kind, double pkt_rate,
                     net.enqueuePacket(n, dst, cfg.dataPacketFlits());
             }
         }
+        if (visit_all)
+            net.markAllBusy();
         net.step();
         ++now;
     }

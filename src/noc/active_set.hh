@@ -23,8 +23,8 @@
  * Dense active lists: an ActiveList is one bitmap over a dense local
  * index. Members register at wiring time in
  * ascending global id, so local order is global order and a bitmap
- * walk visits members in the exact ascending-id order of the
- * exhaustive loop — what bit-identity of the simulation depends on.
+ * walk visits members in ascending-id order — the canonical order
+ * that bit-identity of the simulation depends on.
  * Iteration costs O(members / 64) words plus one visit per set bit.
  * All storage is sized at registration, so the steady state allocates
  * nothing.
@@ -33,6 +33,7 @@
 #ifndef HNOC_NOC_ACTIVE_SET_HH
 #define HNOC_NOC_ACTIVE_SET_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -81,6 +82,16 @@ class ActiveList
         std::uint64_t b = std::uint64_t{1} << (l & 63);
         count_ += (w & b) == 0;
         w |= b;
+    }
+
+    /** Mark every registered member busy. */
+    void
+    insertAll()
+    {
+        std::fill(bits_.begin(), bits_.end(), ~std::uint64_t{0});
+        if (ids_.size() % 64 != 0)
+            bits_.back() = (std::uint64_t{1} << (ids_.size() % 64)) - 1;
+        count_ = ids_.size();
     }
 
     /** Mark local member @p l idle (idempotent). */

@@ -1,5 +1,7 @@
 #include "noc/config_io.hh"
 
+#include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -28,6 +30,51 @@ topologyName(TopologyType t)
 
 namespace
 {
+
+/** Largest topology validate() admits (keeps node ids in range). */
+constexpr int kMaxNodes = 1 << 20;
+/** Width of the router core's downstream VC set (one word). */
+constexpr int kMaxVcs = 64;
+
+/** One integer key of the file format, the field it sets and the
+ *  range validate() admits. The floors cover the sizes the topology,
+ *  flit math and power model divide by, the escape wait, and the
+ *  channel delays: pulled credits (DESIGN.md §6i) need nothing sent
+ *  at cycle t to be due at t. */
+struct IntKey
+{
+    const char *key;
+    const char *name; ///< the field's name, for messages
+    int NetworkConfig::*field;
+    int min;
+    int max;
+};
+
+constexpr IntKey kIntKeys[] = {
+    {"radix_x", "radixX", &NetworkConfig::radixX, 1, INT_MAX},
+    {"radix_y", "radixY", &NetworkConfig::radixY, 1, INT_MAX},
+    {"concentration", "concentration", &NetworkConfig::concentration, 1,
+     INT_MAX},
+    {"flit_bits", "flitWidthBits", &NetworkConfig::flitWidthBits, 1,
+     INT_MAX},
+    {"data_packet_bits", "dataPacketBits", &NetworkConfig::dataPacketBits,
+     1, INT_MAX},
+    {"buffer_depth", "bufferDepth", &NetworkConfig::bufferDepth, 1,
+     INT_MAX},
+    {"default_vcs", "defaultVcs", &NetworkConfig::defaultVcs, 1, kMaxVcs},
+    {"default_width_bits", "defaultWidthBits",
+     &NetworkConfig::defaultWidthBits, 1, INT_MAX},
+    {"uniform_link_bits", "uniformLinkBits",
+     &NetworkConfig::uniformLinkBits, INT_MIN, INT_MAX},
+    {"band_wide_links", "bandWideLinks", &NetworkConfig::bandWideLinks,
+     INT_MIN, INT_MAX},
+    {"escape_threshold", "escapeThreshold",
+     &NetworkConfig::escapeThreshold, 0, INT_MAX},
+    {"pipeline_stages", "pipelineStages", &NetworkConfig::pipelineStages,
+     1, INT_MAX},
+    {"link_latency", "linkLatency", &NetworkConfig::linkLatency, 1,
+     INT_MAX},
+};
 
 TopologyType
 topologyFromName(const std::string &s)
@@ -138,40 +185,99 @@ saPolicyFromName(const std::string &key, const std::string &s)
 } // namespace
 
 std::string
+validate(const NetworkConfig &c)
+{
+    char msg[160];
+    auto reject = [&](const char *key, const char *fmt, auto... args) {
+        int n = std::snprintf(msg, sizeof(msg), "key '%s': ", key);
+        std::snprintf(msg + n, sizeof(msg) - static_cast<std::size_t>(n),
+                      fmt, args...);
+        return std::string(msg);
+    };
+
+    for (const IntKey &k : kIntKeys) {
+        if (c.*k.field < k.min)
+            return reject(k.key, "%s %d < %d", k.name, c.*k.field, k.min);
+        if (c.*k.field > k.max)
+            return reject(k.key, "%s %d > %d", k.name, c.*k.field, k.max);
+    }
+    if (static_cast<double>(c.radixX) * c.radixY * c.concentration >
+        kMaxNodes)
+        return reject("radix_x", "radixX x radixY x concentration > %d "
+                                 "nodes", kMaxNodes);
+
+    // VC counts fit the router core's one-word downstream VC set; a
+    // per-router list has one entry per router.
+    const struct
+    {
+        const char *key;
+        const char *name;
+        const std::vector<int> &entries;
+        int max;
+    } lists[] = {{"router_vcs", "routerVcs", c.routerVcs, kMaxVcs},
+                 {"router_width_bits", "routerWidthBits",
+                  c.routerWidthBits, INT_MAX}};
+    for (const auto &l : lists) {
+        if (!l.entries.empty() &&
+            static_cast<int>(l.entries.size()) != c.numRouters())
+            return reject(l.key, "%s size %zu != router count %d", l.name,
+                          l.entries.size(), c.numRouters());
+        for (int v : l.entries)
+            if (v < 1 || v > l.max)
+                return reject(l.key, "%s entry %d outside [1, %d]", l.name,
+                              v, l.max);
+    }
+    for (NodeId n : c.tableRoutedNodes)
+        if (n < 0 || n >= c.numNodes())
+            return reject("table_nodes",
+                          "tableRoutedNodes contains invalid node %d", n);
+
+    // Table routing falls back to mesh X-Y ports; torus dateline
+    // classes and O1TURN's two dimension orders each split the VCs in
+    // two (RoutingAlgorithm::create picks which routing runs).
+    bool grid = c.topology == TopologyType::Mesh ||
+                c.topology == TopologyType::ConcentratedMesh;
+    if (c.routing == RoutingMode::TableXY && !grid)
+        return reject("routing", "table-xy needs a mesh or cmesh, not %s",
+                      topologyName(c.topology));
+    bool split = c.routing != RoutingMode::TableXY &&
+                 (c.topology == TopologyType::Torus ||
+                  (grid && c.routing == RoutingMode::O1Turn));
+    int min_vcs = c.defaultVcs;
+    for (int v : c.routerVcs)
+        min_vcs = std::min(min_vcs, v);
+    if (split && min_vcs < 2)
+        return reject(c.defaultVcs < 2 ? "default_vcs" : "router_vcs",
+                      "%s requires >= 2 VCs per port",
+                      c.topology == TopologyType::Torus
+                          ? "torus dateline routing"
+                          : "O1TURN");
+    return {};
+}
+
+std::string
 configToString(const NetworkConfig &c)
 {
     std::ostringstream out;
     out << "name=" << c.name << '\n';
     out << "topology=" << topologyName(c.topology) << '\n';
-    out << "radix_x=" << c.radixX << '\n';
-    out << "radix_y=" << c.radixY << '\n';
-    out << "concentration=" << c.concentration << '\n';
-    out << "flit_bits=" << c.flitWidthBits << '\n';
-    out << "data_packet_bits=" << c.dataPacketBits << '\n';
-    out << "buffer_depth=" << c.bufferDepth << '\n';
-    out << "default_vcs=" << c.defaultVcs << '\n';
-    out << "default_width_bits=" << c.defaultWidthBits << '\n';
+    for (const IntKey &k : kIntKeys)
+        out << k.key << '=' << c.*k.field << '\n';
     if (!c.routerVcs.empty())
         out << "router_vcs=" << joinInts(c.routerVcs) << '\n';
     if (!c.routerWidthBits.empty())
         out << "router_width_bits=" << joinInts(c.routerWidthBits)
             << '\n';
     out << "link_mode=" << linkModeName(c.linkWidthMode) << '\n';
-    out << "uniform_link_bits=" << c.uniformLinkBits << '\n';
-    out << "band_wide_links=" << c.bandWideLinks << '\n';
     out << "routing=" << routingName(c.routing) << '\n';
     if (!c.tableRoutedNodes.empty())
         out << "table_nodes=" << joinInts(c.tableRoutedNodes) << '\n';
-    out << "escape_threshold=" << c.escapeThreshold << '\n';
     out << "intra_packet_pairing=" << (c.intraPacketPairing ? 1 : 0)
         << '\n';
     out << "sa_policy="
         << (c.saPolicy == SaPolicy::OldestFirst ? "oldest-first"
                                                 : "round-robin")
         << '\n';
-    out << "always_step=" << (c.alwaysStep ? 1 : 0) << '\n';
-    out << "pipeline_stages=" << c.pipelineStages << '\n';
-    out << "link_latency=" << c.linkLatency << '\n';
     out << "clock_ghz=" << c.clockGHz << '\n';
     return out.str();
 }
@@ -192,59 +298,35 @@ configFromString(const std::string &text)
         std::string val = line.substr(eq + 1);
         std::string what = "config: key '" + key + "'"; // parse errors
 
-        if (key == "name")
+        auto k = std::find_if(std::begin(kIntKeys), std::end(kIntKeys),
+                              [&](const IntKey &e) { return key == e.key; });
+        if (k != std::end(kIntKeys))
+            c.*k->field = parseInt(what, val);
+        else if (key == "name")
             c.name = val;
         else if (key == "topology")
             c.topology = topologyFromName(val);
-        else if (key == "radix_x")
-            c.radixX = parseInt(what, val);
-        else if (key == "radix_y")
-            c.radixY = parseInt(what, val);
-        else if (key == "concentration")
-            c.concentration = parseInt(what, val);
-        else if (key == "flit_bits")
-            c.flitWidthBits = parseInt(what, val);
-        else if (key == "data_packet_bits")
-            c.dataPacketBits = parseInt(what, val);
-        else if (key == "buffer_depth")
-            c.bufferDepth = parseInt(what, val);
-        else if (key == "default_vcs")
-            c.defaultVcs = parseInt(what, val);
-        else if (key == "default_width_bits")
-            c.defaultWidthBits = parseInt(what, val);
         else if (key == "router_vcs")
             c.routerVcs = splitInts(what, val);
         else if (key == "router_width_bits")
             c.routerWidthBits = splitInts(what, val);
         else if (key == "link_mode")
             c.linkWidthMode = linkModeFromName(val);
-        else if (key == "uniform_link_bits")
-            c.uniformLinkBits = parseInt(what, val);
-        else if (key == "band_wide_links")
-            c.bandWideLinks = parseInt(what, val);
         else if (key == "routing")
             c.routing = routingFromName(val);
-        else if (key == "table_nodes") {
-            c.tableRoutedNodes.clear();
-            for (int n : splitInts(what, val))
-                c.tableRoutedNodes.push_back(n);
-        } else if (key == "escape_threshold")
-            c.escapeThreshold = parseInt(what, val);
+        else if (key == "table_nodes")
+            c.tableRoutedNodes = splitInts(what, val);
         else if (key == "intra_packet_pairing")
             c.intraPacketPairing = parseInt(what, val) != 0;
         else if (key == "sa_policy")
             c.saPolicy = saPolicyFromName(key, val);
-        else if (key == "always_step")
-            c.alwaysStep = parseInt(what, val) != 0;
-        else if (key == "pipeline_stages")
-            c.pipelineStages = parseInt(what, val);
-        else if (key == "link_latency")
-            c.linkLatency = parseInt(what, val);
         else if (key == "clock_ghz")
             c.clockGHz = parseDouble(what, val);
         else
             fatal("config: unknown key '%s'", key.c_str());
     }
+    if (std::string err = validate(c); !err.empty())
+        fatal("config: %s", err.c_str());
     return c;
 }
 

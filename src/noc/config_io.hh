@@ -23,8 +23,16 @@ const char *topologyName(TopologyType t);
 std::string configToString(const NetworkConfig &config);
 
 /**
+ * Check @p config against every rule the network build relies on.
+ * @return empty when it is valid, else one message that names the
+ * offending config-file key ("key 'buffer_depth': ...").
+ */
+std::string validate(const NetworkConfig &config);
+
+/**
  * Parse a configuration previously produced by configToString.
- * Unknown keys are fatal (catches typos and version skew).
+ * Unknown keys and configs that validate() rejects are fatal (catches
+ * typos, version skew and values the network cannot run).
  */
 NetworkConfig configFromString(const std::string &text);
 

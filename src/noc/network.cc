@@ -12,53 +12,24 @@
 namespace hnoc
 {
 
-const NetworkConfig &
-Network::validated(const NetworkConfig &config)
+namespace
 {
-    // Sizes that the topology and flit math divide by: reject them
-    // before anything is built from them.
-    struct
-    {
-        const char *name;
-        int value;
-    } const sizes[] = {{"radixX", config.radixX},
-                       {"radixY", config.radixY},
-                       {"concentration", config.concentration},
-                       {"flitWidthBits", config.flitWidthBits},
-                       {"dataPacketBits", config.dataPacketBits}};
-    for (const auto &sz : sizes)
-        if (sz.value < 1)
-            fatal("%s %d < 1", sz.name, sz.value);
-    // Credits are pulled by their driver (DESIGN.md §6i), which relies
-    // on nothing sent at cycle t being due at t: a driver that reads
-    // its credits before the receiver returns one at the same cycle
-    // must see exactly what the exhaustive loop sees. So every channel
-    // delay must be at least one cycle. Flit delays are linkLatency
-    // (injection) and pipelineStages - 1 + linkLatency; every credit
-    // delay is linkLatency.
-    if (config.linkLatency < 1)
-        fatal("linkLatency %d < 1: every channel delay must be >= 1 "
-              "cycle", config.linkLatency);
-    if (config.pipelineStages < 1)
-        fatal("pipelineStages %d < 1: every channel delay must be >= 1 "
-              "cycle", config.pipelineStages);
+
+/** @p config, or fatal with the key that validate() rejects. */
+const NetworkConfig &
+validated(const NetworkConfig &config)
+{
+    if (std::string err = validate(config); !err.empty())
+        fatal("config: %s", err.c_str());
     return config;
 }
+
+} // namespace
 
 Network::Network(const NetworkConfig &config)
     : config_(validated(config)), topo_(Topology::create(config_)),
       routing_(RoutingAlgorithm::create(config_, *topo_))
 {
-    if (!config_.routerVcs.empty() &&
-        static_cast<int>(config_.routerVcs.size()) != topo_->numRouters())
-        fatal("routerVcs size %zu != router count %d",
-              config_.routerVcs.size(), topo_->numRouters());
-    if (!config_.routerWidthBits.empty() &&
-        static_cast<int>(config_.routerWidthBits.size()) !=
-            topo_->numRouters())
-        fatal("routerWidthBits size %zu != router count %d",
-              config_.routerWidthBits.size(), topo_->numRouters());
-
     if (config_.clockGHz > 0.0) {
         clockGHz_ = config_.clockGHz;
     } else {
@@ -364,8 +335,28 @@ Network::makeBlameCollector() const
 void
 Network::attachBlame(BlameCollector *b)
 {
+    // A live packet's ledger belongs to the collector that armed it:
+    // hand every one back before the switch, so no ledger is committed
+    // into (or released to) a pool it did not come from.
+    if (sinks_.blame && sinks_.blame != b) {
+        for (const auto &pkt : packetArena_) {
+            if (pkt->blame) {
+                sinks_.blame->release(pkt->blame);
+                pkt->blame = nullptr;
+            }
+        }
+    }
     sinks_.blame = b;
     repointProbe();
+}
+
+void
+Network::markAllBusy()
+{
+    // Channel ends need no mark: an end is busy exactly while its pipe
+    // holds a flit, and an empty pipe has nothing to deliver.
+    activeRouters_.insertAll();
+    activeNis_.insertAll();
 }
 
 MemoryAudit
@@ -681,50 +672,28 @@ Network::step()
         }
     };
 
-    if (config_.alwaysStep) {
-        // Exhaustive phase-major reference loop: every channel end,
-        // every router, every NI, in canonical index order.
-        for (const ChannelEnds &e : ends_) {
-            if (e.chan->idle())
-                continue;
-            // Router-sink channels file under channel_delivery; the
-            // terminal ejection channels under ni_eject.
-            ProfScope s(prof, e.sinkIsRouter ? ProfPhase::ChannelDelivery
-                                             : ProfPhase::NiEject);
-            deliverFlitsOf(e);
-        }
-        for (auto &r : routers_)
-            r.step(now);
-        {
-            ProfScope s(prof, ProfPhase::NiInject);
-            for (auto &ni : nis_)
-                ni->stepInject(now);
-        }
-    } else {
-        // Active-set pass: the same phases over busy components only.
-        // Terminal ejections run first, in canonical node order (flit
-        // consumption and delivery callbacks), then router-sink
-        // deliveries, routers and NIs, each in ascending id. Every
-        // channel delay is >= 1 cycle, so nothing sent this cycle is
-        // deliverable this cycle and delivering the ejection ends
-        // before the router-sink ends reorders nothing that the
-        // results depend on (DESIGN.md §6g).
-        auto visit_end = [&](std::uint32_t i) { deliverFlitsOf(ends_[i]); };
-        if (ejectEnds_.size() > 0) {
-            ProfScope s(prof, ProfPhase::NiEject);
-            ejectEnds_.forEachActive(visit_end);
-        }
-        if (flitEnds_.size() > 0) {
-            ProfScope s(prof, ProfPhase::ChannelDelivery);
-            flitEnds_.forEachActive(visit_end);
-        }
-        activeRouters_.forEachActive(
-            [&](std::uint32_t i) { routers_[i].step(now); });
-        if (activeNis_.size() > 0) {
-            ProfScope s(prof, ProfPhase::NiInject);
-            activeNis_.forEachActive(
-                [&](std::uint32_t i) { nis_[i]->stepInject(now); });
-        }
+    // One pass over the busy components: terminal ejections first, in
+    // canonical node order (flit consumption and delivery callbacks),
+    // then router-sink deliveries, routers and NIs, each in ascending
+    // id. Every channel delay is >= 1 cycle, so nothing sent this
+    // cycle is deliverable this cycle and delivering the ejection ends
+    // before the router-sink ends reorders nothing that the results
+    // depend on (DESIGN.md §6g).
+    auto visit_end = [&](std::uint32_t i) { deliverFlitsOf(ends_[i]); };
+    if (ejectEnds_.size() > 0) {
+        ProfScope s(prof, ProfPhase::NiEject);
+        ejectEnds_.forEachActive(visit_end);
+    }
+    if (flitEnds_.size() > 0) {
+        ProfScope s(prof, ProfPhase::ChannelDelivery);
+        flitEnds_.forEachActive(visit_end);
+    }
+    activeRouters_.forEachActive(
+        [&](std::uint32_t i) { routers_[i].step(now); });
+    if (activeNis_.size() > 0) {
+        ProfScope s(prof, ProfPhase::NiInject);
+        activeNis_.forEachActive(
+            [&](std::uint32_t i) { nis_[i]->stepInject(now); });
     }
 
     if (probe_)
@@ -818,10 +787,9 @@ Network::powerReport() const
 {
     PowerBreakdown total;
     int ports = topo_->portsPerRouter();
-    // Routers no longer count their own stepped cycles (idle cycles
-    // may be skipped); the power model's time denominator is the
-    // measurement window, identical to what the exhaustive loop
-    // accumulated one cycle at a time.
+    // Routers do not count their own stepped cycles (idle cycles are
+    // skipped); the power model's time denominator is the measurement
+    // window.
     Cycle window = measuredCycles();
     for (RouterId r = 0; r < topo_->numRouters(); ++r) {
         auto model = RouterPowerModel::calibrated(

@@ -79,6 +79,16 @@ class Network
     /** Advance one clock cycle. */
     void step();
 
+    /**
+     * Mark every router and NI busy for the next step() (a channel end
+     * is busy exactly while it carries a flit). Each marks itself idle
+     * again once stepping finds nothing to do, so calling this before
+     * every step() steps every router and NI every cycle: the
+     * exhaustive baseline of the scheduler benchmarks. Results are
+     * unchanged (DESIGN.md §6a).
+     */
+    void markAllBusy();
+
     /** Advance @p cycles cycles. */
     void
     run(Cycle cycles)
@@ -154,6 +164,12 @@ class Network
         return *nis_[static_cast<std::size_t>(n)];
     }
 
+    /** Channel @p i, in build order: inter-router channels by
+     *  (driver router, port), then each node's injection and
+     *  ejection channel. */
+    const Channel &channel(std::size_t i) const { return *channels_[i]; }
+    std::size_t numChannels() const { return channels_.size(); }
+
     /** @return live (created, not yet delivered) packets. */
     std::size_t packetsInFlight() const { return livePackets_; }
 
@@ -225,7 +241,9 @@ class Network
      * attribution never alters simulated behavior, and the hooks
      * compile out under -DHNOC_TELEMETRY=OFF. Packets already in
      * flight at attach time carry no ledger and are skipped at
-     * delivery; packets in flight at detach time are not committed.
+     * delivery; packets in flight at detach (or at a switch to
+     * another collector) are not committed, and their ledgers go
+     * back to the outgoing collector's pool.
      */
     void attachBlame(BlameCollector *b);
 
@@ -284,7 +302,6 @@ class Network
         NodeId driverNode = INVALID_NODE;
     };
 
-    static const NetworkConfig &validated(const NetworkConfig &config);
     void build();
     Channel *makeChannel(int width_bits, int flit_delay, int credit_delay,
                          int credit_slots);

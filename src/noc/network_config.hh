@@ -123,13 +123,6 @@ struct NetworkConfig
     /** Switch-allocator arbitration policy. */
     SaPolicy saPolicy = SaPolicy::RoundRobin;
 
-    /**
-     * Force the exhaustive per-cycle loop instead of active-set
-     * scheduling. Results are bit-identical either way; this is the
-     * reference the scheduler parity tests compare against.
-     */
-    bool alwaysStep = false;
-
     /** Router pipeline depth in cycles (2-stage, §4). */
     int pipelineStages = 2;
     /** Channel traversal latency in cycles (must be >= 1: credits are

@@ -121,9 +121,6 @@ class Router
     void resetOccupancy() { occupancySum_ = 0.0; }
     ///@}
 
-    /** @return true if any input VC holds a flit (watchdog helper). */
-    bool hasBufferedFlits() const { return flitCount_ > 0; }
-
     /** Point the event hooks at @p probe (nullptr detaches). Each
      *  hook costs one branch per event while detached; the profiler
      *  and blame arms of the probe also time the pipeline phases and

@@ -91,18 +91,6 @@ YXRouting::outputPort(RouterId r, const Packet &pkt) const
 
 // ------------------------------------------------------------ O1TURN --
 
-O1TurnRouting::O1TurnRouting(const NetworkConfig &config,
-                             const Topology &topo)
-    : RoutingAlgorithm(config, topo), xy_(config, topo),
-      yx_(config, topo)
-{
-    int min_vcs = config.defaultVcs;
-    for (RouterId r = 0; r < topo.numRouters(); ++r)
-        min_vcs = std::min(min_vcs, config.vcsOf(r));
-    if (min_vcs < 2)
-        fatal("O1TURN requires >= 2 VCs per port for its two classes");
-}
-
 PortId
 O1TurnRouting::outputPort(RouterId r, const Packet &pkt) const
 {
@@ -127,17 +115,6 @@ O1TurnRouting::vcBounds(RouterId r, PortId out, const Packet &pkt,
 }
 
 // ------------------------------------------------------------- Torus --
-
-TorusXYRouting::TorusXYRouting(const NetworkConfig &config,
-                               const Topology &topo)
-    : RoutingAlgorithm(config, topo)
-{
-    int min_vcs = config.defaultVcs;
-    for (RouterId r = 0; r < topo.numRouters(); ++r)
-        min_vcs = std::min(min_vcs, config.vcsOf(r));
-    if (min_vcs < 2)
-        fatal("torus dateline routing requires >= 2 VCs per port");
-}
 
 int
 TorusXYRouting::shortestDir(int from, int to, int k)
@@ -231,7 +208,7 @@ TableXYRouting::TableXYRouting(const NetworkConfig &config,
 {
     for (NodeId n : config.tableRoutedNodes) {
         if (n < 0 || n >= topo.numNodes())
-            fatal("tableRoutedNodes contains invalid node %d", n);
+            panic("tableRoutedNodes contains invalid node %d", n);
         isTableNode_[static_cast<std::size_t>(n)] = true;
     }
     buildTables();

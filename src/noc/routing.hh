@@ -108,7 +108,11 @@ class YXRouting : public RoutingAlgorithm
 class O1TurnRouting : public RoutingAlgorithm
 {
   public:
-    O1TurnRouting(const NetworkConfig &config, const Topology &topo);
+    /** Needs >= 2 VCs at every router (validate() checks). */
+    O1TurnRouting(const NetworkConfig &config, const Topology &topo)
+        : RoutingAlgorithm(config, topo), xy_(config, topo),
+          yx_(config, topo)
+    {}
 
     PortId outputPort(RouterId r, const Packet &pkt) const override;
 
@@ -124,7 +128,10 @@ class O1TurnRouting : public RoutingAlgorithm
 class TorusXYRouting : public RoutingAlgorithm
 {
   public:
-    TorusXYRouting(const NetworkConfig &config, const Topology &topo);
+    /** Needs >= 2 VCs at every router (validate() checks). */
+    TorusXYRouting(const NetworkConfig &config, const Topology &topo)
+        : RoutingAlgorithm(config, topo)
+    {}
 
     PortId outputPort(RouterId r, const Packet &pkt) const override;
 

@@ -152,6 +152,8 @@ class BlameCollector
     ///@{
     BlameLedger *acquire();
     void release(BlameLedger *l);
+    /** Ledgers acquired and not yet released. */
+    std::size_t ledgersOut() const { return slabs_.size() - free_.size(); }
     ///@}
 
     /**

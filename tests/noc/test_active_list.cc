@@ -149,6 +149,25 @@ TEST(ActiveList, VisitIsAscendingAndDropsIdleMembers)
     EXPECT_EQ(list.size(), 2u);
 }
 
+TEST(ActiveList, InsertAllMarksExactlyTheMembers)
+{
+    // 65 members: one full word plus a one-bit tail word; no bit past
+    // the last member may be set.
+    ActiveList list;
+    for (std::uint32_t id = 0; id < 65; ++id)
+        list.add(3 * id);
+    list.insertAll();
+    EXPECT_EQ(list.size(), 65u);
+    std::vector<std::uint32_t> got;
+    list.forEachActive([&](std::uint32_t id) {
+        got.push_back(id);
+        list.erase(id / 3);
+    });
+    ASSERT_EQ(got.size(), 65u);
+    EXPECT_EQ(got.back(), 192u);
+    EXPECT_EQ(list.size(), 0u);
+}
+
 TEST(ActiveList, MembersRegisterInAscendingOrder)
 {
     ActiveList list;

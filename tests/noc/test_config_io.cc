@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/parse.hh"
 #include "heteronoc/layout.hh"
 #include "noc/config_io.hh"
 #include "noc/network.hh"
@@ -41,7 +42,6 @@ expectConfigsEqual(const NetworkConfig &a, const NetworkConfig &b)
     EXPECT_EQ(a.escapeThreshold, b.escapeThreshold);
     EXPECT_EQ(a.intraPacketPairing, b.intraPacketPairing);
     EXPECT_EQ(a.saPolicy, b.saPolicy);
-    EXPECT_EQ(a.alwaysStep, b.alwaysStep);
     EXPECT_EQ(a.pipelineStages, b.pipelineStages);
     EXPECT_EQ(a.linkLatency, b.linkLatency);
     EXPECT_DOUBLE_EQ(a.clockGHz, b.clockGHz);
@@ -60,7 +60,6 @@ TEST(ConfigIo, RoundTripHeterogeneous)
     cfg.tableRoutedNodes = {0, 7, 56, 63};
     cfg.saPolicy = SaPolicy::OldestFirst;
     cfg.intraPacketPairing = false;
-    cfg.alwaysStep = true;
     expectConfigsEqual(cfg, configFromString(configToString(cfg)));
 }
 
@@ -220,13 +219,18 @@ TEST(ConfigIo, UnknownSaPolicyFatal)
 
 TEST(ConfigIo, StrictParseAcceptsBoundaryValues)
 {
-    // The strict parsers reject garbage, not valid extremes.
-    NetworkConfig c = configFromString("radix_x=2147483647\n"
-                                       "escape_threshold=-2147483648\n"
+    // The strict parsers reject garbage, not valid extremes. The
+    // loader also validates, so the int extremes it can still accept
+    // are the ones a runnable config may hold.
+    EXPECT_EQ(parseInt("radix_x", "2147483647"), 2147483647);
+    EXPECT_EQ(parseInt("escape_threshold", "-2147483648"),
+              -2147483647 - 1);
+    NetworkConfig c = configFromString("radix_x=2\n"
+                                       "radix_y=1\n"
+                                       "escape_threshold=2147483647\n"
                                        "router_vcs=2,,3\n"
                                        "clock_ghz=2.5e0\n");
-    EXPECT_EQ(c.radixX, 2147483647);
-    EXPECT_EQ(c.escapeThreshold, -2147483647 - 1);
+    EXPECT_EQ(c.escapeThreshold, 2147483647);
     EXPECT_EQ(c.routerVcs, (std::vector<int>{2, 3}));
     EXPECT_DOUBLE_EQ(c.clockGHz, 2.5);
 
@@ -245,6 +249,152 @@ TEST(ConfigIo, BlockTilesKeyIsUnknown)
     // is rejected rather than silently ignored.
     EXPECT_DEATH((void)configFromString("block_tiles=16\n"),
                  "unknown key 'block_tiles'");
+}
+
+TEST(ConfigIo, AlwaysStepKeyIsUnknown)
+{
+    // Network::step has one pass; the exhaustive-loop switch is gone.
+    EXPECT_DEATH((void)configFromString("always_step=1\n"),
+                 "unknown key 'always_step'");
+}
+
+// ------------------------------------------------------- validate --
+
+/** One rejected value: the config key it must name, and the change
+ *  to a valid baseline config that produces it. */
+struct InvalidCase
+{
+    const char *name;
+    const char *key;
+    void (*mutate)(NetworkConfig &);
+};
+
+void
+PrintTo(const InvalidCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class ValidateRejects : public ::testing::TestWithParam<InvalidCase>
+{};
+
+TEST_P(ValidateRejects, NamesTheKeyInValidateLoaderAndNetwork)
+{
+    const InvalidCase &c = GetParam();
+    NetworkConfig cfg = makeLayoutConfig(LayoutKind::Baseline);
+    ASSERT_EQ(validate(cfg), "");
+    c.mutate(cfg);
+    std::string key = std::string("key '") + c.key + "'";
+    EXPECT_NE(validate(cfg).find(key), std::string::npos)
+        << "validate said: '" << validate(cfg) << "'";
+    // The loader and the Network ctor reject it with the same message
+    // instead of dying deeper in the build (power model, router core).
+    std::string text = configToString(cfg);
+    EXPECT_DEATH((void)configFromString(text), key);
+    EXPECT_DEATH({ Network net(cfg); }, key);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryKey, ValidateRejects,
+    ::testing::Values(
+        InvalidCase{"radix_x", "radix_x",
+                    [](NetworkConfig &c) { c.radixX = 0; }},
+        InvalidCase{"radix_y", "radix_y",
+                    [](NetworkConfig &c) { c.radixY = -2; }},
+        InvalidCase{"huge_radix", "radix_x",
+                    [](NetworkConfig &c) { c.radixX = 2147483647; }},
+        InvalidCase{"concentration", "concentration",
+                    [](NetworkConfig &c) { c.concentration = 0; }},
+        InvalidCase{"flit_bits", "flit_bits",
+                    [](NetworkConfig &c) { c.flitWidthBits = 0; }},
+        InvalidCase{"data_packet_bits", "data_packet_bits",
+                    [](NetworkConfig &c) { c.dataPacketBits = 0; }},
+        InvalidCase{"buffer_depth", "buffer_depth",
+                    [](NetworkConfig &c) { c.bufferDepth = 0; }},
+        InvalidCase{"default_width_bits", "default_width_bits",
+                    [](NetworkConfig &c) { c.defaultWidthBits = 0; }},
+        InvalidCase{"default_vcs_0", "default_vcs",
+                    [](NetworkConfig &c) { c.defaultVcs = 0; }},
+        InvalidCase{"default_vcs_65", "default_vcs",
+                    [](NetworkConfig &c) { c.defaultVcs = 65; }},
+        InvalidCase{"router_vcs_0", "router_vcs",
+                    [](NetworkConfig &c) {
+                        c.routerVcs.assign(64, 3);
+                        c.routerVcs[9] = 0;
+                    }},
+        InvalidCase{"router_vcs_65", "router_vcs",
+                    [](NetworkConfig &c) {
+                        c.routerVcs.assign(64, 3);
+                        c.routerVcs[63] = 65;
+                    }},
+        InvalidCase{"router_vcs_size", "router_vcs",
+                    [](NetworkConfig &c) { c.routerVcs.assign(10, 3); }},
+        InvalidCase{"router_width_bits_0", "router_width_bits",
+                    [](NetworkConfig &c) {
+                        c.routerWidthBits.assign(64, 192);
+                        c.routerWidthBits[0] = 0;
+                    }},
+        InvalidCase{"router_width_bits_size", "router_width_bits",
+                    [](NetworkConfig &c) {
+                        c.routerWidthBits.assign(3, 192);
+                    }},
+        InvalidCase{"escape_threshold", "escape_threshold",
+                    [](NetworkConfig &c) { c.escapeThreshold = -5; }},
+        InvalidCase{"table_nodes", "table_nodes",
+                    [](NetworkConfig &c) {
+                        c.routing = RoutingMode::TableXY;
+                        c.tableRoutedNodes = {999};
+                    }},
+        InvalidCase{"table_xy_flatfly", "routing",
+                    [](NetworkConfig &c) {
+                        c.topology = TopologyType::FlattenedButterfly;
+                        c.radixX = 4;
+                        c.radixY = 4;
+                        c.concentration = 4;
+                        c.routing = RoutingMode::TableXY;
+                    }},
+        InvalidCase{"pipeline_stages", "pipeline_stages",
+                    [](NetworkConfig &c) { c.pipelineStages = 0; }},
+        InvalidCase{"link_latency", "link_latency",
+                    [](NetworkConfig &c) { c.linkLatency = 0; }},
+        InvalidCase{"o1turn_one_vc", "default_vcs",
+                    [](NetworkConfig &c) {
+                        c.routing = RoutingMode::O1Turn;
+                        c.defaultVcs = 1;
+                    }},
+        InvalidCase{"torus_one_vc", "default_vcs",
+                    [](NetworkConfig &c) {
+                        c.topology = TopologyType::Torus;
+                        c.defaultVcs = 1;
+                    }},
+        InvalidCase{"torus_router_one_vc", "router_vcs",
+                    [](NetworkConfig &c) {
+                        c.topology = TopologyType::Torus;
+                        c.routerVcs.assign(64, 4);
+                        c.routerVcs[20] = 1;
+                    }}),
+    [](const ::testing::TestParamInfo<InvalidCase> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(ConfigIo, ValidateAcceptsLayoutsAndTwoVcSplits)
+{
+    for (LayoutKind kind : allLayouts())
+        EXPECT_EQ(validate(makeLayoutConfig(kind)), "");
+    NetworkConfig cfg = makeLayoutConfig(LayoutKind::Baseline);
+    cfg.defaultVcs = 2;
+    cfg.routing = RoutingMode::O1Turn;
+    EXPECT_EQ(validate(cfg), "");
+    cfg.topology = TopologyType::Torus;
+    EXPECT_EQ(validate(cfg), "");
+    // Table routing and the flattened butterfly split no VCs.
+    cfg.defaultVcs = 1;
+    cfg.topology = TopologyType::Mesh;
+    cfg.routing = RoutingMode::TableXY;
+    EXPECT_EQ(validate(cfg), "");
+    cfg.routing = RoutingMode::O1Turn;
+    cfg.topology = TopologyType::FlattenedButterfly;
+    EXPECT_EQ(validate(cfg), "");
 }
 
 TEST(ConfigIo, LoadedConfigSimulates)

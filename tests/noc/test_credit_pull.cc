@@ -27,7 +27,6 @@ namespace
 struct CreditPullCase
 {
     LayoutKind layout;
-    bool alwaysStep;
     int linkLatency;
 };
 
@@ -57,7 +56,6 @@ TEST_P(CreditPull, BurstyThenIdleConservesAndRefills)
 {
     const CreditPullCase &c = GetParam();
     NetworkConfig cfg = makeLayoutConfig(c.layout);
-    cfg.alwaysStep = c.alwaysStep;
     cfg.linkLatency = c.linkLatency;
     Network net(cfg);
     const int nodes = net.topology().numNodes();
@@ -115,22 +113,17 @@ TEST_P(CreditPull, BurstyThenIdleConservesAndRefills)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    LayoutsSchedulers, CreditPull,
-    ::testing::Values(CreditPullCase{LayoutKind::Baseline, false, 1},
-                      CreditPullCase{LayoutKind::Baseline, true, 1},
-                      CreditPullCase{LayoutKind::DiagonalBL, false, 1},
-                      CreditPullCase{LayoutKind::DiagonalBL, true, 1},
+    Layouts, CreditPull,
+    ::testing::Values(CreditPullCase{LayoutKind::Baseline, 1},
+                      CreditPullCase{LayoutKind::DiagonalBL, 1},
                       // Longer credit pipes hold more queued credits
                       // per idle driver.
-                      CreditPullCase{LayoutKind::Baseline, false, 3},
-                      CreditPullCase{LayoutKind::Baseline, true, 3},
-                      CreditPullCase{LayoutKind::DiagonalBL, false, 3},
-                      CreditPullCase{LayoutKind::DiagonalBL, true, 3}),
+                      CreditPullCase{LayoutKind::Baseline, 3},
+                      CreditPullCase{LayoutKind::DiagonalBL, 3}),
     [](const ::testing::TestParamInfo<CreditPullCase> &info) {
         const CreditPullCase &c = info.param;
         return std::string(c.layout == LayoutKind::Baseline ? "baseline"
                                                             : "diagbl") +
-               (c.alwaysStep ? "_exhaustive" : "_active") +
                (c.linkLatency == 1
                     ? ""
                     : "_link" + std::to_string(c.linkLatency));

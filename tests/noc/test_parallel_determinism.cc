@@ -123,28 +123,26 @@ TEST(ParallelDeterminism, ParallelRunIsRepeatable)
     expectBitIdentical(first, second);
 }
 
-TEST(ParallelDeterminism, ActiveSetMatchesExhaustiveAcrossThreadCounts)
+TEST(ParallelDeterminism, SaturatedSweepMatchesSerialAcrossThreadCounts)
 {
-    // The active-set step order composes with the parallel engine:
-    // serial and pooled active-set sweeps must reproduce the serial
-    // exhaustive-loop reference at every thread count.
-    NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL);
-    NetworkConfig always_cfg = cfg;
-    always_cfg.alwaysStep = true;
+    // Past saturation nearly every component is busy every cycle and
+    // the source queues grow without bound; the fixed-window sweep
+    // must still match the serial loop at every thread count.
+    NetworkConfig cfg = makeLayoutConfig(LayoutKind::Baseline);
     SimPointOptions opts = quickOptions();
+    opts.seed = 421;
+    const std::vector<double> rates = {0.2, 0.5};
 
-    auto reference = sweepLoadSerial(
-        always_cfg, TrafficPattern::UniformRandom, kRates, opts);
-
-    expectBitIdentical(
-        sweepLoadSerial(cfg, TrafficPattern::UniformRandom, kRates, opts),
-        reference);
+    auto serial = sweepLoadSerial(cfg, TrafficPattern::UniformRandom,
+                                  rates, opts);
+    ASSERT_EQ(serial.size(), rates.size());
+    EXPECT_TRUE(serial.back().saturated);
     for (int threads : {1, 3, 4}) {
         SCOPED_TRACE(std::to_string(threads) + " threads");
         JobPool pool(threads);
         expectBitIdentical(sweepLoad(cfg, TrafficPattern::UniformRandom,
-                                     kRates, opts, &pool),
-                           reference);
+                                     rates, opts, &pool),
+                           serial);
     }
 }
 

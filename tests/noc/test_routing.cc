@@ -43,8 +43,9 @@ TEST(XYRouting, PathsAreMinimalAndXFirst)
             // X phase first: y must not change until x matches dst.
             for (const RouterId r : path) {
                 Coord c = f.topo->routerCoord(r);
-                if (c.x != cd.x)
+                if (c.x != cd.x) {
                     EXPECT_EQ(c.y, cs.y);
+                }
             }
             EXPECT_EQ(path.front(), f.topo->routerOfNode(src));
             EXPECT_EQ(path.back(), f.topo->routerOfNode(dst));

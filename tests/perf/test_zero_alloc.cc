@@ -2,16 +2,14 @@
  * @file
  * Steady-state allocation audit: once the packet arena, scratch
  * vectors, and ring buffers are warm, a loaded Network::step must not
- * touch the heap at all — under both the active-set scheduler and the
- * exhaustive (config.alwaysStep) loop. Enforced by replacing global
- * operator new with a counting shim (this binary only).
+ * touch the heap at all. Enforced by replacing global operator new
+ * with a counting shim (this binary only).
  *
  * This contract covers the SoA router core: its per-slot arrays,
  * request bitmasks, and per-output credit vectors are sized once in
  * RouterCore::init / connectOutput and never grow, so RC/VA/SA run
- * mask arithmetic over fixed storage. Both schedulers are audited on
- * both layouts because they drive different slot-visit patterns
- * through the same arrays.
+ * mask arithmetic over fixed storage. Both layouts are audited: the
+ * wide links of the heterogeneous one add the pairing paths of SA.
  *
  * Telemetry is deliberately left detached: epoch rollover allocates
  * its time-series rows by design and is not part of the hot path
@@ -153,13 +151,6 @@ TEST(ZeroAlloc, ActiveSetLoadedStepIsAllocationFree)
     EXPECT_EQ(measureSteadyStateAllocs(cfg), 0u);
 }
 
-TEST(ZeroAlloc, AlwaysStepLoadedStepIsAllocationFree)
-{
-    NetworkConfig cfg = makeLayoutConfig(LayoutKind::Baseline);
-    cfg.alwaysStep = true;
-    EXPECT_EQ(measureSteadyStateAllocs(cfg), 0u);
-}
-
 TEST(ZeroAlloc, HeterogeneousDiagonalBlIsAllocationFree)
 {
     NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL);
@@ -170,12 +161,10 @@ TEST(ZeroAlloc, DeepPipelineLongLinksAreAllocationFree)
 {
     // Longer channel delays deepen every flit and credit pipe; their
     // rings are sized at construction, so stepping must stay off the
-    // heap under both step orders.
+    // heap.
     NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL);
     cfg.pipelineStages = 3;
     cfg.linkLatency = 3;
-    EXPECT_EQ(measureSteadyStateAllocs(cfg), 0u);
-    cfg.alwaysStep = true;
     EXPECT_EQ(measureSteadyStateAllocs(cfg), 0u);
 }
 
@@ -220,16 +209,6 @@ TEST(ZeroAlloc, ActiveListChurnIsAllocationFree)
     }
     g_counting.store(false);
     EXPECT_EQ(g_allocs.load(), 0u);
-}
-
-TEST(ZeroAlloc, HeterogeneousDiagonalBlAlwaysStepIsAllocationFree)
-{
-    // The exhaustive loop runs every router's RC/VA/SA every cycle,
-    // so this is the densest sweep over the SoA core's bitmask paths
-    // (including the wide-channel pairing retry in SA).
-    NetworkConfig cfg = makeLayoutConfig(LayoutKind::DiagonalBL);
-    cfg.alwaysStep = true;
-    EXPECT_EQ(measureSteadyStateAllocs(cfg), 0u);
 }
 
 // ------------------------------------------------ sizing contracts --

@@ -25,6 +25,7 @@
 
 #include "common/job_pool.hh"
 #include "heteronoc/layout.hh"
+#include "noc/config_io.hh"
 #include "noc/network.hh"
 #include "noc/sim_harness.hh"
 #include "noc/traffic.hh"
@@ -36,10 +37,11 @@ namespace hnoc
 namespace
 {
 
-/** Drive @p net with seeded UR traffic for @p cycles. */
+/** Drive @p net with seeded UR traffic for @p cycles; with
+ *  @p step_all, mark every component busy before each step. */
 void
 driveUniformRandom(Network &net, Cycle cycles, std::uint64_t seed = 11,
-                   double rate = 0.02)
+                   double rate = 0.02, bool step_all = false)
 {
     const NetworkConfig &cfg = net.config();
     int nodes = net.topology().numNodes();
@@ -53,6 +55,8 @@ driveUniformRandom(Network &net, Cycle cycles, std::uint64_t seed = 11,
                     net.enqueuePacket(n, dst, cfg.dataPacketFlits());
             }
         }
+        if (step_all)
+            net.markAllBusy();
         net.step();
     }
 }
@@ -195,6 +199,59 @@ TEST(Blame, AttachedCollectorDoesNotPerturbSimulation)
     }
 }
 
+/** Records every delivery (endpoints and cycles, in order). */
+class DeliveryLog : public NetworkClient
+{
+  public:
+    void
+    onPacketDelivered(Network &, Packet &p, Cycle now) override
+    {
+        log.push_back({p.id, static_cast<std::uint64_t>(p.src),
+                       static_cast<std::uint64_t>(p.dst), p.createdAt,
+                       p.injectedAt, now, static_cast<std::uint64_t>(p.hops)});
+    }
+
+    std::vector<std::array<std::uint64_t, 7>> log;
+};
+
+TEST(Blame, MarkAllBusyLeavesTelemetryUnchanged)
+{
+    // Skipping idle components must be invisible to telemetry: a zero
+    // occupancy sample and the blame pass on an idle router are no-ops
+    // (DESIGN.md §6a). Stepping every router and NI every cycle
+    // (markAllBusy before each step, the scheduler benchmarks'
+    // exhaustive baseline) must give the same registry, blame ledger
+    // totals and delivery log as the active-set run.
+    NetworkConfig torus;
+    torus.topology = TopologyType::Torus;
+    torus.radixX = 4;
+    torus.radixY = 4;
+    for (const NetworkConfig &cfg :
+         {makeLayoutConfig(LayoutKind::DiagonalBL), torus}) {
+        SCOPED_TRACE(topologyName(cfg.topology));
+        std::string metrics[2], blame[2];
+        DeliveryLog logs[2];
+        for (int all = 0; all < 2; ++all) {
+            Network net(cfg);
+            net.setClient(&logs[all]);
+            auto reg = net.makeMetricRegistry(500);
+            net.attachTelemetry(reg.get());
+            auto bc = net.makeBlameCollector();
+            net.attachBlame(bc.get());
+            driveUniformRandom(net, 3000, 13, 0.04, all == 1);
+            driveUniformRandom(net, 3000, 13, 0.0, all == 1); // drain
+            EXPECT_EQ(net.packetsInFlight(), 0u);
+            net.detachTelemetry();
+            metrics[all] = reg->json();
+            blame[all] = bc->json();
+        }
+        EXPECT_GT(logs[0].log.size(), 0u);
+        EXPECT_EQ(logs[0].log, logs[1].log);
+        EXPECT_EQ(metrics[0], metrics[1]);
+        EXPECT_EQ(blame[0], blame[1]);
+    }
+}
+
 // ------------------------------------------- exact accounting identity --
 
 /** Checks the per-packet identity from the delivery callback, where
@@ -262,6 +319,41 @@ TEST(Blame, AccountingIdentityExactOnMeshAndHeteroAcrossSeeds)
             }
         }
     }
+}
+
+TEST(Blame, SwitchingCollectorsReturnsLiveLedgers)
+{
+    // Packets still in flight when a collector is detached or swapped
+    // hold ledgers from its pool. They go back to that pool at the
+    // switch, so the pool is whole afterwards and a later collector
+    // never commits or releases a ledger it does not own (under ASan,
+    // releasing into B a ledger of a destroyed A is a use after free).
+    if (!kTelemetryEnabled)
+        GTEST_SKIP() << "blame compiles out under HNOC_TELEMETRY=OFF";
+    Network net(makeLayoutConfig(LayoutKind::DiagonalBL));
+    auto a = net.makeBlameCollector();
+    net.attachBlame(a.get());
+    driveUniformRandom(net, 400, 5, 0.05);
+    ASSERT_GT(net.packetsInFlight(), 0u);
+    EXPECT_GT(a->ledgersOut(), 0u);
+    net.attachBlame(nullptr);
+    EXPECT_EQ(a->ledgersOut(), 0u);
+
+    // Re-arm A mid-run, then swap in B and destroy A with packets of
+    // A's ledgers still live.
+    net.attachBlame(a.get());
+    driveUniformRandom(net, 400, 6, 0.05);
+    ASSERT_GT(net.packetsInFlight(), 0u);
+    auto b = net.makeBlameCollector();
+    net.attachBlame(b.get());
+    EXPECT_EQ(a->ledgersOut(), 0u);
+    a.reset();
+    driveUniformRandom(net, 200, 7, 0.05);
+    net.run(3000); // drain
+    EXPECT_EQ(net.packetsInFlight(), 0u);
+    EXPECT_EQ(b->ledgersOut(), 0u);
+    EXPECT_GT(b->packets(), 0u);
+    EXPECT_EQ(b->identityViolations(), 0u);
 }
 
 // ------------------------------------------------ merge determinism --

@@ -9,8 +9,9 @@ hot loop versus the OFF build by more than the threshold.
         --benchmark BM_NetworkStepBaseline --max-regression-pct 2.0
 
 Cross-benchmark mode compares two different series (possibly from the
-same file), which is how CI gates the active-set scheduler against the
-always-step escape hatch:
+same file), which is how CI gates the active-set scheduler against its
+exhaustive baseline (the `_always` series: Network::markAllBusy()
+before every step):
 
     # saturation: active-set must not regress past the threshold
     check_perf_regression.py on.json on.json \

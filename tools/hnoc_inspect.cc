@@ -451,15 +451,14 @@ cmdConverge(const std::string &path, double target_pct)
         std::vector<double> hist = p.numbersAt("ci_history");
         double ci = p.numAt("ci_rel_half_width", -1.0);
         std::string stop = p.strAt("stop_reason");
-        if (stop.empty())
-            stop = "-";
         char cibuf[16];
         if (ci >= 0.0)
             std::snprintf(cibuf, sizeof(cibuf), "%.2f", ci * 100.0);
         else
             std::snprintf(cibuf, sizeof(cibuf), "-");
         std::printf("%-24s %-16s %10.0f %8s %8zu\n",
-                    p.strAt("label").c_str(), stop.c_str(),
+                    p.strAt("label").c_str(),
+                    stop.empty() ? "-" : stop.c_str(),
                     p.numAt("simulated_cycles", 0), cibuf,
                     hist.size());
         // Batch at which the CI trajectory first crossed the target —
